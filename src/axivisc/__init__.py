@@ -5,8 +5,7 @@ from .grid import (GridSpec, ScalarField, VelocityField, cylindrical_integral,
                    ddr, ddz, divergence, load_field, make_grid, save_field)
 from .norms import (LorentzIndex, RearrangementProfile, lebesgue_norm,
                     lorentz_norm, mixed_norm, rearrange)
-from .biot_savart import (KernelTable, majorant_field, ur_over_r,
-                          velocity_from_vorticity)
+from .biot_savart import KernelTable, ur_over_r, velocity_from_vorticity
 from .evolution import (SimConfig, SimState, advance_omega_direct, advance_q,
                         cfl_dt, initial_state, run, step)
 from .experiment import (ExperimentConfig, InitialData, build_initial,
@@ -17,7 +16,7 @@ __all__ = [
     "divergence", "cylindrical_integral", "save_field", "load_field",
     "LorentzIndex", "RearrangementProfile", "rearrange", "lebesgue_norm",
     "lorentz_norm", "mixed_norm",
-    "KernelTable", "velocity_from_vorticity", "ur_over_r", "majorant_field",
+    "KernelTable", "velocity_from_vorticity", "ur_over_r",
     "SimConfig", "SimState", "cfl_dt", "advance_q", "advance_omega_direct",
     "step", "run", "initial_state",
     "ExperimentConfig", "InitialData", "build_initial", "parse_config",

@@ -86,32 +86,6 @@ def _spectral_velocity_kernels(grid: GridSpec, kt: KernelTable):
     return spec
 
 
-def _spectral_majorant_kernel(grid: GridSpec, kt: KernelTable, power: int):
-    key = ("maj", power, grid.key())
-    if key in kt._cache:
-        return kt._cache[key]
-    r = grid.r
-    dz = grid.dz
-    n_r, n_z = grid.n_r, grid.n_z
-    delta = 0.5 * np.hypot(grid.dr, dz)
-    zsep = np.arange(n_z) * dz
-    rt = r[:, None, None]
-    rs = r[None, :, None]
-    dzs = zsep[None, None, :]
-    k = np.zeros((n_r, n_r, n_z))
-    base = rt * rt + rs * rs + dzs * dzs
-    for th, w in zip(kt.theta, kt.weights):
-        d2 = base - (2.0 * np.cos(th)) * rt * rs
-        d = np.sqrt(d2)
-        term = np.zeros_like(d)
-        np.divide(w, d if power == 1 else d2, out=term, where=d >= delta)
-        k += term
-    k *= (grid.dr * dz) * r[None, :, None]
-    spec = _to_spectral(k, odd=False, n_z=n_z)
-    kt._cache[key] = spec
-    return spec
-
-
 def _to_spectral(k_pos: np.ndarray, odd: bool, n_z: int) -> np.ndarray:
     """Embed a Delta>=0 kernel into a circular kernel of length 2*n_z and rfft it.
 
@@ -150,17 +124,8 @@ def velocity_from_vorticity(omega: ScalarField, kt: KernelTable) -> VelocityFiel
     return VelocityField(ScalarField(g, ur, "u_r"), ScalarField(g, uz, "u_z"))
 
 
-def ur_over_r(omega: ScalarField, u: VelocityField) -> ScalarField:
+def ur_over_r(u: VelocityField) -> ScalarField:
     """Pointwise u^r / r; well defined since all nodes are off-axis."""
     g = u.grid
     return ScalarField(g, u.u_r.values / g.r[:, None], "derived")
 
-
-def majorant_field(g_field: ScalarField, power: int, kt: KernelTable) -> ScalarField:
-    """Convolution of |g| with 1/|X|^power, for diagnostic ratio reports."""
-    if power not in (1, 2):
-        raise ValueError(f"power must be 1 or 2, got {power}")
-    g = g_field.grid
-    spec = _spectral_majorant_kernel(g, kt, power)
-    out = _apply_spectral(spec, np.abs(g_field.values), g.n_z)
-    return ScalarField(g, out, "derived")

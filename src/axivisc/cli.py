@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 a verification check failed, 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -18,8 +17,9 @@ if "AXIVISC_THREADS" in os.environ:
 
 from . import diagnostics, norms
 from .biot_savart import KernelTable, velocity_from_vorticity
+from .evolution import SimState
 from .experiment import (ExperimentConfig, parse_config, run_checks,
-                         run_experiment)
+                         run_experiment, snapshot_paths)
 from .grid import load_field, save_field
 
 
@@ -111,11 +111,11 @@ def _cmd_check(args) -> int:
     # replay the final CSV row from its snapshot; must reproduce bit-exactly
     if len(records) >= 2:
         final = records[-1]
-        tag = f"{final.t:.6f}"
-        snap = os.path.join(args.out, f"q_t{tag}")
-        if os.path.exists(snap + ".hdr"):
-            replay = _replay_final_row(args.out, snap, records)
-            if replay is not None and not _rows_equal(replay, final):
+        q_path, omega_path = snapshot_paths(args.out, final.t)
+        if os.path.exists(q_path + ".hdr"):
+            replay = _replay_final_row(args.out, q_path, omega_path, records)
+            if replay is not None and (diagnostics.format_csv([replay])
+                                       != diagnostics.format_csv([final])):
                 print("replay: FAIL (final CSV row does not match snapshot)")
                 failed = True
             else:
@@ -128,33 +128,19 @@ def _cmd_check(args) -> int:
     return 1 if failed else 0
 
 
-def _replay_final_row(out_dir, snap_path, records):
-    from .evolution import SimState
-    from .experiment import parse_config
-
+def _replay_final_row(out_dir, q_path, omega_path, records):
     cfg_path = os.path.join(out_dir, "config.txt")
     if not os.path.exists(cfg_path):
         return None
     with open(cfg_path, "r", encoding="utf-8") as fh:
         cfg = parse_config(fh.read())
-    q, t = load_field(snap_path)
-    g = q.grid
+    q, t = load_field(q_path)
     kt = KernelTable(cfg.n_theta)
-    omega, _ = load_field(snap_path.replace("q_t", "omega_t"))
+    omega, _ = load_field(omega_path)
     u = velocity_from_vorticity(omega, kt)
     state = SimState(t, records[-1].step_index, q, omega, u)
     return diagnostics.compute_record(state, first=records[0],
                                       prev=records[-2])
-
-
-def _rows_equal(a, b) -> bool:
-    for c in diagnostics.CSV_COLUMNS:
-        va, vb = getattr(a, c), getattr(b, c)
-        if isinstance(va, float) and math.isnan(va) and math.isnan(vb):
-            continue
-        if va != vb:
-            return False
-    return True
 
 
 if __name__ == "__main__":

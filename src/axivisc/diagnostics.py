@@ -98,7 +98,7 @@ def compute_record(state, first: DiagnosticsRecord | None,
     dz_omega = ddz(omega)
     dz_q = ddz(q)
     dr_omega = ddr(omega)
-    uror = ur_over_r(omega, u)
+    uror = ur_over_r(u)
 
     sup_q = float(np.max(np.abs(q.values)))
     sup_u = float(np.sqrt(np.max(u.u_r.values ** 2 + u.u_z.values ** 2)))
@@ -296,21 +296,6 @@ def dr_omega_monitor(records: list[DiagnosticsRecord]) -> CheckResult:
     finite = all(math.isfinite(v) for v in series)
     return CheckResult("dr_omega", finite if not finite else None,
                        max(series, default=0.0))
-
-
-def biot_ratio_check(state) -> dict[str, CheckResult]:
-    """Ratios of reconstructed-velocity sups to their controlling norms."""
-    rec = compute_record(state, first=None, prev=None)
-    out = {}
-    for name, val in (("u_over_omega31", rec.biot_u_ratio),
-                      ("ur_over_dzomega", rec.biot_ur_ratio),
-                      ("uror_over_dzq", rec.biot_ur_over_r_ratio),
-                      ("mixed_over_dzq", rec.biot_mixed_ratio)):
-        if val == 0.0:
-            out[name] = CheckResult(f"biot_{name}", None, 0.0, "degenerate")
-        else:
-            out[name] = CheckResult(f"biot_{name}", None, val)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -169,9 +169,10 @@ def advance_q(q: ScalarField, u: VelocityField, dt: float,
     return ScalarField(g, vals, q.role)
 
 
-def advance_omega_direct(omega: ScalarField, u: VelocityField,
-                         dt: float) -> ScalarField:
-    """Direct omega step: advection, integrating-factor stretching, diffusion.
+def advance_omega_direct(omega: ScalarField, u: VelocityField, dt: float,
+                         eps_h: float = 0.0) -> ScalarField:
+    """Direct omega step: advection, integrating-factor stretching, diffusion
+    (+ eps_h term).
 
     The stretching factor exp(dt * u^r/r) uses u frozen at step start, so
     positivity of omega is preserved exactly.
@@ -180,6 +181,8 @@ def advance_omega_direct(omega: ScalarField, u: VelocityField,
     vals = _advect(omega, u, dt)
     vals = vals * np.exp(dt * u.u_r.values / g.r[:, None])
     vals = _diffuse_z(vals, g, dt)
+    if eps_h > 0:
+        vals = vals + dt * eps_h * _horizontal_laplacian(vals, g)
     return ScalarField(g, vals, omega.role)
 
 
@@ -188,12 +191,7 @@ def step(state: SimState, config: SimConfig, kt: KernelTable,
     g = config.grid
     dt = cfl_dt(state, config, t_cap)
     if config.evolve_omega_direct:
-        omega = advance_omega_direct(state.omega, state.u, dt)
-        if config.eps_h > 0:
-            omega = ScalarField(
-                g, omega.values
-                + dt * config.eps_h * _horizontal_laplacian(omega.values, g),
-                "omega_theta")
+        omega = advance_omega_direct(state.omega, state.u, dt, config.eps_h)
         q = ScalarField(g, omega.values / g.r[:, None], "q_omega_over_r")
     else:
         q = advance_q(state.q, state.u, dt, config.eps_h)
@@ -208,6 +206,11 @@ class RunResult:
     sup_q_per_step: np.ndarray         # sup|q| after every step, index 0 = initial
     snapshots: dict                    # time -> (q, omega) fields
     final_state: SimState
+
+
+def snapshot_targets(t_end: float, snapshot_times: tuple) -> list[float]:
+    """Times the run lands on exactly: those in (0, t_end], plus t_end, sorted."""
+    return sorted(set(float(s) for s in snapshot_times if 0 < s <= t_end) | {t_end})
 
 
 def run(config: SimConfig, q0: ScalarField, kt: KernelTable | None = None,
@@ -225,8 +228,7 @@ def run(config: SimConfig, q0: ScalarField, kt: KernelTable | None = None,
         kt = KernelTable(config.n_theta)
     state = initial_state(q0, config, kt)
 
-    targets = sorted(set(float(s) for s in snapshot_times if 0 < s <= config.t_end)
-                     | {config.t_end})
+    targets = snapshot_targets(config.t_end, snapshot_times)
     records = [diagnostics.compute_record(state, first=None, prev=None)]
     sup_q = [float(np.max(np.abs(state.q.values)))]
     snaps = {0.0: (state.q, state.omega)}

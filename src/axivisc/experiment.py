@@ -3,52 +3,18 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import get_type_hints
 
 import numpy as np
 
 from . import diagnostics
 from .biot_savart import KernelTable
-from .evolution import RunResult, SimConfig, run
+from .evolution import RunResult, SimConfig, run, snapshot_targets
 from .grid import GridSpec, ScalarField, _atomic_write, make_grid, save_field
 
 SUPPORT_THRESHOLD = 1e-10   # relative cut defining the numerical support
 MARGIN_FRACTION = 0.25      # support must stay this far (x extent) from boundaries
-
-_DEFAULTS = {
-    # initial data (reference Gaussian ring)
-    "kind": "gaussian_ring",
-    "amplitude": 1.0,
-    "r0": 0.5,
-    "z0": 0.0,
-    "sigma": 0.15,
-    "patch_radius": 0.3,
-    "separation": 0.5,
-    # domain
-    "r_max": 2.0,
-    "z_min": -2.0,
-    "z_max": 2.0,
-    "n_r": 96,
-    "n_z": 192,
-    # solver
-    "n_theta": 64,
-    "dt_cfl_factor": 0.9,
-    "eps_h": 0.0,
-    "t_end": 1.0,
-    "cadence": 10,
-    "evolve_omega_direct": False,
-    # harness
-    "snapshot_times": (),
-    "out_dir": "out",
-    "seed": 0,
-}
-
-_POSITIVE_INT_KEYS = {"n_r", "n_z", "n_theta", "cadence"}
-_BOOL_KEYS = {"evolve_omega_direct"}
-_INT_KEYS = {"seed"} | _POSITIVE_INT_KEYS
-_STR_KEYS = {"kind", "out_dir"}
-_KINDS = ("gaussian_ring", "yudovich_patch", "ring_pair")
-
 
 @dataclass
 class InitialData:
@@ -59,6 +25,11 @@ class InitialData:
     sigma: float = 0.15
     patch_radius: float = 0.3
     separation: float = 0.5
+
+    def __post_init__(self):
+        if self.kind not in _PROFILES:
+            raise ValueError(f"kind must be one of {tuple(_PROFILES)}, "
+                             f"got {self.kind!r}")
 
 
 @dataclass
@@ -77,35 +48,37 @@ class ExperimentConfig:
     evolve_omega_direct: bool = False
     snapshot_times: tuple = ()
     out_dir: str = "out"
-    seed: int = 0
 
     def grid(self) -> GridSpec:
         return make_grid(self.r_max, self.z_min, self.z_max, self.n_r, self.n_z)
 
     def sim_config(self) -> SimConfig:
-        return SimConfig(self.grid(), self.dt_cfl_factor, self.n_theta,
-                         self.eps_h, self.t_end, self.cadence,
-                         self.evolve_omega_direct)
+        """The solver settings: every SimConfig field this config shares by name."""
+        own = {f.name for f in fields(self)}
+        return SimConfig(grid=self.grid(),
+                         **{f.name: getattr(self, f.name)
+                            for f in fields(SimConfig) if f.name in own})
+
+
+def _ring(d: InitialData, R, Z, shift: float = 0.0):
+    return np.exp(-((R - d.r0) ** 2 + (Z - d.z0 - shift) ** 2) / d.sigma ** 2)
+
+
+# q0 profile of each initial data kind, before scaling by the amplitude
+_PROFILES = {
+    "gaussian_ring": _ring,
+    "yudovich_patch": lambda d, R, Z: ((R - d.r0) ** 2 + (Z - d.z0) ** 2
+                                       < d.patch_radius ** 2),
+    "ring_pair": lambda d, R, Z: (_ring(d, R, Z, d.separation)
+                                  - _ring(d, R, Z, -d.separation)),
+}
 
 
 def build_initial(d: InitialData, g: GridSpec) -> ScalarField:
     """Initial q0 = omega0/r on the grid; rejects data leaking into the margin."""
-    R = g.r[:, None]
-    Z = g.z[None, :]
-    a = d.amplitude
-    if d.kind == "gaussian_ring":
-        vals = a * np.exp(-((R - d.r0) ** 2 + (Z - d.z0) ** 2) / d.sigma ** 2)
-    elif d.kind == "yudovich_patch":
-        vals = a * ((R - d.r0) ** 2 + (Z - d.z0) ** 2 < d.patch_radius ** 2)
-    elif d.kind == "ring_pair":
-        vals = a * (np.exp(-((R - d.r0) ** 2 + (Z - d.z0 - d.separation) ** 2)
-                           / d.sigma ** 2)
-                    - np.exp(-((R - d.r0) ** 2 + (Z - d.z0 + d.separation) ** 2)
-                             / d.sigma ** 2))
-    else:
-        raise ValueError(f"unknown initial data kind {d.kind!r}")
+    vals = d.amplitude * _PROFILES[d.kind](d, g.r[:, None], g.z[None, :])
     f = ScalarField(g, vals.astype(np.float64), "q_omega_over_r")
-    if a != 0 and support_margin_violation(f):
+    if d.amplitude != 0 and support_margin_violation(f):
         raise ValueError(
             "initial data support reaches the outer boundary margin "
             f"({MARGIN_FRACTION:.0%} of the box)")
@@ -128,10 +101,46 @@ def support_margin_violation(f: ScalarField) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# flat key=value config files
+# flat key=value config files: one key per field of InitialData and of
+# ExperimentConfig, parsed and formatted by the field's declared type
+
+def _parse_bool(val: str) -> bool:
+    if val.lower() in ("true", "1", "yes"):
+        return True
+    if val.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"not a boolean: {val!r}")
+
+
+def _parse_positive_int(val: str) -> int:
+    iv = int(val)
+    if iv <= 0:
+        raise ValueError(f"must be positive, got {iv}")
+    return iv
+
+
+def _parse_times(val: str) -> tuple:
+    return tuple(float(s) for s in val.split(",")) if val else ()
+
+
+# declared field type -> text parser, and -> text formatter
+_PARSERS = {str: str, float: float, int: _parse_positive_int, bool: _parse_bool,
+            tuple: _parse_times}
+_FORMATTERS = {str: str, float: repr, int: str, bool: lambda v: str(v).lower(),
+               tuple: lambda ts: ",".join(repr(t) for t in ts)}
+
+
+def _config_keys(cls) -> dict:
+    """Key -> declared type for the fields of cls that are not nested dataclasses."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)
+            if not is_dataclass(hints[f.name])}
+
 
 def parse_config(text: str) -> ExperimentConfig:
-    values = dict(_DEFAULTS)
+    initial_keys = _config_keys(InitialData)
+    keys = {**initial_keys, **_config_keys(ExperimentConfig)}
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -139,61 +148,21 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key not in values:
+        if key not in keys:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         try:
-            values[key] = _parse_value(key, val)
+            values[key] = _PARSERS[keys[key]](val)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: key {key!r}: {exc}") from None
-    if values["kind"] not in _KINDS:
-        raise ValueError(f"key 'kind': must be one of {_KINDS}")
-    initial = InitialData(values["kind"], values["amplitude"], values["r0"],
-                          values["z0"], values["sigma"], values["patch_radius"],
-                          values["separation"])
-    kwargs = {k: values[k] for k in values
-              if k not in ("kind", "amplitude", "r0", "z0", "sigma",
-                           "patch_radius", "separation")}
-    return ExperimentConfig(initial=initial, **kwargs)
-
-
-def _parse_value(key: str, val: str):
-    if key in _BOOL_KEYS:
-        if val.lower() in ("true", "1", "yes"):
-            return True
-        if val.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"not a boolean: {val!r}")
-    if key in _INT_KEYS:
-        iv = int(val)
-        if key in _POSITIVE_INT_KEYS and iv <= 0:
-            raise ValueError(f"must be positive, got {iv}")
-        return iv
-    if key in _STR_KEYS:
-        return val
-    if key == "snapshot_times":
-        if not val:
-            return ()
-        return tuple(float(s) for s in val.split(","))
-    return float(val)
+    initial = InitialData(**{k: values.pop(k) for k in initial_keys if k in values})
+    return ExperimentConfig(initial=initial, **values)
 
 
 def format_config(cfg: ExperimentConfig) -> str:
     """Canonical text form; parse_config(format_config(c)) == c."""
-    d = cfg.initial
-    pairs = [
-        ("kind", d.kind), ("amplitude", d.amplitude), ("r0", d.r0),
-        ("z0", d.z0), ("sigma", d.sigma), ("patch_radius", d.patch_radius),
-        ("separation", d.separation),
-        ("r_max", cfg.r_max), ("z_min", cfg.z_min), ("z_max", cfg.z_max),
-        ("n_r", cfg.n_r), ("n_z", cfg.n_z),
-        ("n_theta", cfg.n_theta), ("dt_cfl_factor", cfg.dt_cfl_factor),
-        ("eps_h", cfg.eps_h), ("t_end", cfg.t_end), ("cadence", cfg.cadence),
-        ("evolve_omega_direct", str(cfg.evolve_omega_direct).lower()),
-        ("snapshot_times", ",".join(repr(t) for t in cfg.snapshot_times)),
-        ("out_dir", cfg.out_dir), ("seed", cfg.seed),
-    ]
-    return "".join(f"{k} = {v!r}\n" if isinstance(v, float) else f"{k} = {v}\n"
-                   for k, v in pairs)
+    return "".join(f"{key} = {_FORMATTERS[typ](getattr(obj, key))}\n"
+                   for obj in (cfg.initial, cfg)
+                   for key, typ in _config_keys(type(obj)).items())
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +172,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                    kt: KernelTable | None = None) -> tuple[RunResult, list]:
     """Execute the configured run, write CSV/snapshots, return result + verdicts."""
     out = out_dir if out_dir is not None else cfg.out_dir
+    _check_snapshot_names([0.0] + snapshot_targets(cfg.t_end, cfg.snapshot_times))
     os.makedirs(out, exist_ok=True)
     g = cfg.grid()
     q0 = build_initial(cfg.initial, g)
@@ -214,14 +184,32 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     _atomic_write(os.path.join(out, "diagnostics.csv"),
                   diagnostics.format_csv(result.records).encode("utf-8"))
     for t, (q, omega) in sorted(result.snapshots.items()):
-        tag = f"{t:.6f}"
-        save_field(os.path.join(out, f"q_t{tag}"), q, time=t)
-        save_field(os.path.join(out, f"omega_t{tag}"), omega, time=t)
+        q_path, omega_path = snapshot_paths(out, t)
+        save_field(q_path, q, time=t)
+        save_field(omega_path, omega, time=t)
 
     verdicts = run_checks(result.records)
     _atomic_write(os.path.join(out, "summary.txt"),
                   ("".join(v.line() + "\n" for v in verdicts)).encode("utf-8"))
     return result, verdicts
+
+
+def snapshot_paths(run_dir: str, t: float) -> tuple[str, str]:
+    """Paths (without extension) of the q and omega snapshots at time t."""
+    tag = f"{t:.6f}"
+    return (os.path.join(run_dir, f"q_t{tag}"),
+            os.path.join(run_dir, f"omega_t{tag}"))
+
+
+def _check_snapshot_names(times: list):
+    """Distinct snapshot times must get distinct file names."""
+    seen = {}
+    for t in sorted(set(times)):
+        name = snapshot_paths("", t)[0]
+        if name in seen:
+            raise ValueError(f"snapshot times {seen[name]!r} and {t!r} share the "
+                             f"file name {name}; space them at least 1e-6 apart")
+        seen[name] = t
 
 
 def run_checks(records: list) -> list:

@@ -172,13 +172,21 @@ def save_field(path: str, f: ScalarField, time: float = 0.0):
 
 
 def load_field(path: str) -> tuple[ScalarField, float]:
+    """Read a snapshot; a malformed one raises a ValueError naming its file."""
     with open(path + ".hdr", "r", encoding="utf-8") as fh:
-        meta = dict(line.strip().split("=", 1) for line in fh if line.strip())
-    grid = make_grid(float(meta["r_max"]), float(meta["z_min"]),
-                     float(meta["z_max"]), int(meta["n_r"]), int(meta["n_z"]))
-    raw = np.fromfile(path + ".bin", dtype="<f8")
-    values = raw.reshape(grid.n_r, grid.n_z)
-    return ScalarField(grid, values, meta["role"]), float(meta["time"])
+        meta = dict(line.strip().partition("=")[::2] for line in fh)
+    try:
+        grid = make_grid(float(meta["r_max"]), float(meta["z_min"]),
+                         float(meta["z_max"]), int(meta["n_r"]), int(meta["n_z"]))
+        role, t = meta["role"], float(meta["time"])
+    except KeyError as exc:
+        raise ValueError(f"{path}.hdr: header lacks key {exc}") from None
+    size = os.path.getsize(path + ".bin")
+    if size != 8 * grid.n_r * grid.n_z:
+        raise ValueError(f"{path}.bin: {size} bytes, expected 8 per value "
+                         f"of a {grid.n_r}x{grid.n_z} grid")
+    values = np.fromfile(path + ".bin", dtype="<f8").reshape(grid.n_r, grid.n_z)
+    return ScalarField(grid, values, role), t
 
 
 def _atomic_write(path: str, data: bytes):

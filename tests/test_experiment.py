@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -5,10 +6,36 @@ import numpy as np
 import pytest
 
 from axivisc import cli, norms
+from axivisc.evolution import SimConfig
 from axivisc.experiment import (ExperimentConfig, InitialData, build_initial,
                                 format_config, parse_config,
                                 support_margin_violation)
-from axivisc.grid import ScalarField, load_field, make_grid
+from axivisc.grid import ScalarField, load_field, make_grid, save_field
+
+# every config key, in file order, with a value different from its default
+NON_DEFAULT_TEXT = """\
+kind = ring_pair
+amplitude = 0.7
+r0 = 0.6
+z0 = 0.1
+sigma = 0.12
+patch_radius = 0.2
+separation = 0.3
+r_max = 3.0
+z_min = -3.0
+z_max = 2.5
+n_r = 40
+n_z = 80
+n_theta = 32
+dt_cfl_factor = 0.5
+eps_h = 0.001
+t_end = 0.25
+cadence = 3
+evolve_omega_direct = true
+snapshot_times = 0.1,0.2
+out_dir = elsewhere
+"""
+CONFIG_KEYS = [ln.split(" = ")[0] for ln in NON_DEFAULT_TEXT.splitlines()]
 
 
 class TestBuildInitial:
@@ -99,8 +126,37 @@ class TestConfigParsing:
         cfg = ExperimentConfig(
             initial=InitialData(kind="ring_pair", amplitude=0.3, sigma=0.11),
             n_r=20, n_z=24, t_end=0.125, snapshot_times=(0.05, 0.1),
-            eps_h=1e-3, out_dir="elsewhere", seed=5)
+            eps_h=1e-3, out_dir="elsewhere")
         assert parse_config(format_config(cfg)) == cfg
+
+    def test_every_field_is_a_key(self):
+        fields = ([f.name for f in dataclasses.fields(InitialData)]
+                  + [f.name for f in dataclasses.fields(ExperimentConfig)
+                     if f.name != "initial"])
+        assert sorted(CONFIG_KEYS) == sorted(fields)
+        cfg = parse_config(NON_DEFAULT_TEXT)
+        default = ExperimentConfig()
+        for key in CONFIG_KEYS:
+            obj, ref = ((cfg.initial, default.initial)
+                        if hasattr(cfg.initial, key) else (cfg, default))
+            assert getattr(obj, key) != getattr(ref, key), key
+
+    def test_format_emits_every_key_in_field_order(self):
+        text = format_config(ExperimentConfig())
+        assert [ln.split(" = ")[0] for ln in text.splitlines()] == CONFIG_KEYS
+        assert format_config(parse_config(NON_DEFAULT_TEXT)) == NON_DEFAULT_TEXT
+
+    def test_seed_is_not_a_key(self):
+        with pytest.raises(ValueError, match="unknown key 'seed'"):
+            parse_config("seed = 0\n")
+
+    def test_sim_config_carries_every_solver_field(self):
+        cfg = parse_config(NON_DEFAULT_TEXT)
+        sim = cfg.sim_config()
+        assert sim.grid == cfg.grid()
+        for f in dataclasses.fields(SimConfig):
+            if f.name != "grid":
+                assert getattr(sim, f.name) == getattr(cfg, f.name) != f.default
 
 
 def tiny_config_text(out_dir, t_end=0.004, extra=""):
@@ -152,6 +208,43 @@ class TestCli:
         cfg_file.write_text("n_r = -4\n")
         assert cli.main(["run", "--config", str(cfg_file)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_run_and_check_in_path_containing_q_t(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.txt"
+        out = str(tmp_path / "q_tdir" / "run")
+        cfg_file.write_text(tiny_config_text(out))
+        assert cli.main(["run", "--config", str(cfg_file)]) == 0
+        capsys.readouterr()
+        assert cli.main(["check", "--out", out]) == 0
+        assert "replay: PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("times", ["0.0010001,0.0010004", "0.0039996"])
+    def test_colliding_snapshot_times_exit_2(self, tmp_path, capsys, times):
+        cfg_file = tmp_path / "cfg.txt"
+        out = str(tmp_path / "out")
+        cfg_file.write_text(tiny_config_text(
+            out, extra=f"snapshot_times = {times}\n"))
+        assert cli.main(["run", "--config", str(cfg_file)]) == 2
+        assert "share the file name" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("damage", ["header", "bin"])
+    def test_norms_on_malformed_snapshot_exit_2(self, tmp_path, capsys, damage):
+        snap = str(tmp_path / "snap")
+        g = make_grid(2.0, -2.0, 2.0, 20, 40)
+        save_field(snap, ScalarField(g, np.ones((20, 40)), "q_omega_over_r"))
+        if damage == "header":
+            with open(snap + ".hdr") as fh:
+                kept = [ln for ln in fh if not ln.startswith("role=")]
+            with open(snap + ".hdr", "w") as fh:
+                fh.writelines(kept)
+        else:
+            with open(snap + ".bin", "r+b") as fh:
+                fh.truncate(96)
+        assert cli.main(["norms", "--snapshot", snap]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert snap + (".hdr" if damage == "header" else ".bin") in err
 
     def test_missing_run_dir_exit_2(self, tmp_path, capsys):
         assert cli.main(["check", "--out", str(tmp_path / "nope")]) == 2

@@ -8,11 +8,14 @@ explicit (r, r', theta', z-z') kernels:
     D^2 = r^2 + r'^2 - 2 r r' cos(th') + (z-z')^2
 
 The theta' integral is a trapezoid rule on the periodic circle (spectrally
-accurate).  Since the kernels depend on z and z' only through z-z' on a
-uniform grid, the quadrature over theta' is precomputed into a table indexed
-by (r, r', dz-shift) and the remaining sum over sources is a circular
-convolution in z, done by FFT.  Quadrature points with D below half the cell
-diagonal are skipped (hard desingularization of the self-cell).
+accurate), with the mirror nodes theta' and 2pi-theta' (equal cosines) summed
+as one.  The kernels depend on z and z' only through z-z' on a uniform grid,
+so the quadrature is precomputed, in fixed-size blocks of z-shifts, into a
+(z-shift, r, r') table, and the sum over sources is a circular convolution in
+z.  The even u^z kernel is stored as its real DCT-I spectrum, the odd u^r
+kernel as its DST-I (its spectrum divided by -i).  Quadrature points with D
+below half the cell diagonal are skipped (hard desingularization of the
+self-cell).
 """
 
 from __future__ import annotations
@@ -20,8 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft as sp_fft
 
 from .grid import GridSpec, ScalarField, VelocityField
+
+# elements per block of z-shifts in the table build; every operation is
+# elementwise, so the value only trades cache reuse against loop overhead
+_BLOCK_ELEMS = 1 << 16
 
 
 @dataclass
@@ -44,72 +52,57 @@ class KernelTable:
 
 
 def _spectral_velocity_kernels(grid: GridSpec, kt: KernelTable):
-    """rfft-in-z of the (u^r, u^z) kernel tables, each (n_z+1, n_r, n_r) complex."""
+    """Real z-spectra of the u^r (over -i) and u^z kernels, each (n_z+1, n_r, n_r)."""
     key = ("uv", grid.key())
     if key in kt._cache:
         return kt._cache[key]
 
-    r = grid.r
-    dz = grid.dz
-    n_r, n_z = grid.n_r, grid.n_z
+    r, dz, n_r, n_z = grid.r, grid.dz, grid.n_r, grid.n_z
     delta = 0.5 * np.hypot(grid.dr, dz)
-    # z-shift axis holds Delta = (j_target - j_source) in 0..n_z-1; negative
-    # shifts follow from parity (u^r kernel odd in z-z', u^z kernel even).
-    zsep = np.arange(n_z) * dz
-
-    rt = r[:, None, None]      # target radius
-    rs = r[None, :, None]      # source radius
-    dzs = zsep[None, None, :]
-
-    k_r = np.zeros((n_r, n_r, n_z))
-    k_z = np.zeros((n_r, n_r, n_z))
-    base = rt * rt + rs * rs + dzs * dzs
-    for th, w in zip(kt.theta, kt.weights):
-        c = np.cos(th)
-        d2 = base - (2.0 * c) * rt * rs
-        d = np.sqrt(d2)
-        inv_d3 = np.zeros_like(d)
-        np.divide(1.0, d2 * d, out=inv_d3, where=d >= delta)
-        # overall sign from u = (1/4pi) int omega x (X-X') / D^3: this is the
-        # orientation for which curl(u) reproduces omega^theta = dz u^r - dr u^z
-        k_r += (w * c) * dzs * inv_d3
-        k_z += (-w) * (rt * c - rs) * inv_d3
-
+    rt, rs = r[:, None], r[None, :]    # target, source radius
+    # nodes k and n-1-k share cos(theta'): sum half of them at the pair weight
+    half = kt.n_theta // 2
+    cos_th = np.cos(kt.theta[:half])
+    w_pair = kt.weights[:half] + kt.weights[::-1][:half]
+    cross = (2.0 * cos_th)[:, None, None] * rt * rs
     # fold the source measure r' dr dz and the 1/4pi prefactor into the tables
     src_w = (grid.dr * dz / (4.0 * np.pi)) * r
-    k_r *= src_w[None, :, None]
-    k_z *= src_w[None, :, None]
 
-    spec = (_to_spectral(k_r, odd=True, n_z=n_z),
-            _to_spectral(k_z, odd=False, n_z=n_z))
-    kt._cache[key] = spec
-    return spec
+    # leading axis: z-shift Delta = j_target - j_source in 0..n_z-1; negative
+    # shifts follow from parity (u^r kernel odd in z-z', u^z kernel even)
+    k_r, k_z = np.zeros((2, n_z + 1, n_r, n_r))
+    step = max(1, _BLOCK_ELEMS // (n_r * n_r))
+    for a in range(0, n_z, step):
+        dzs = (np.arange(a, min(a + step, n_z)) * dz)[:, None, None]
+        base = rt * rt + rs * rs + dzs * dzs
+        s_c, s_1, d2, d, term = np.zeros((5,) + base.shape)
+        near = a * dz < delta    # D >= |z-z'|: far shifts never meet the cut-off
+        for cross_k, c, w in zip(cross, cos_th, w_pair):
+            np.subtract(base, cross_k, out=d2)
+            np.sqrt(d2, out=d)
+            np.divide(w, np.multiply(d2, d, out=d2), out=term)
+            if near:
+                term[d < delta] = 0.0
+            s_1 += term
+            s_c += np.multiply(term, c, out=term)
+        # u = (1/4pi) int omega x (X-X') / D^3: the orientation for which
+        # curl(u) reproduces omega^theta = dz u^r - dr u^z
+        k_r[a:a + len(dzs)] = dzs * s_c * src_w
+        k_z[a:a + len(dzs)] = (rs * s_1 - rt * s_c) * src_w
+
+    # spectra of the length-2n_z circular embeddings: the even one of k_z is
+    # DCT-I(k_z, 0); the odd one of k_r is -i DST-I(k_r[1:n_z]), zero at 0 and n_z
+    k_z[:] = sp_fft.dct(k_z, type=1, axis=0)
+    k_r[1:n_z] = sp_fft.dst(k_r[1:n_z], type=1, axis=0)
+    k_r[0] = 0.0
+    kt._cache[key] = (k_r, k_z)
+    return k_r, k_z
 
 
-def _to_spectral(k_pos: np.ndarray, odd: bool, n_z: int) -> np.ndarray:
-    """Embed a Delta>=0 kernel into a circular kernel of length 2*n_z and rfft it.
-
-    Returns shape (n_z+1, n_r, n_r), frequency first so the per-call
-    contraction is a batched matmul.
-    """
-    n_r = k_pos.shape[0]
-    L = 2 * n_z
-    circ = np.zeros((n_r, n_r, L))
-    circ[:, :, :n_z] = k_pos
-    sign = -1.0 if odd else 1.0
-    circ[:, :, L - n_z + 1:] = sign * k_pos[:, :, 1:][:, :, ::-1]
-    spec = np.fft.rfft(circ, axis=2)
-    return np.ascontiguousarray(np.moveaxis(spec, 2, 0))
-
-
-def _apply_spectral(spec: np.ndarray, values: np.ndarray, n_z: int) -> np.ndarray:
-    L = 2 * n_z
-    pad = np.zeros((values.shape[0], L))
-    pad[:, :n_z] = values
-    vhat = np.fft.rfft(pad, axis=1)            # (n_r, n_z+1)
-    out_hat = np.matmul(spec, vhat.T[:, :, None])[:, :, 0]   # (n_z+1, n_r)
-    out = np.fft.irfft(out_hat.T, n=L, axis=1)[:, :n_z]
-    return out
+def _apply_spectral(spec: np.ndarray, vhat: np.ndarray, phase, n_z: int) -> np.ndarray:
+    """z-convolution: spec @ vhat per frequency, times phase, back to z."""
+    out_hat = phase * np.matmul(spec, vhat).view(np.complex128)[..., 0]
+    return np.fft.irfft(out_hat.T, n=2 * n_z, axis=1)[:, :n_z]
 
 
 def velocity_from_vorticity(omega: ScalarField, kt: KernelTable) -> VelocityField:
@@ -119,8 +112,11 @@ def velocity_from_vorticity(omega: ScalarField, kt: KernelTable) -> VelocityFiel
     omega.check_finite()
     g = omega.grid
     spec_r, spec_z = _spectral_velocity_kernels(g, kt)
-    ur = _apply_spectral(spec_r, omega.values, g.n_z)
-    uz = _apply_spectral(spec_z, omega.values, g.n_z)
+    # rfft of the zero-padded columns as (Re, Im) pairs, frequency first
+    vhat = np.fft.rfft(omega.values, n=2 * g.n_z, axis=1).T.copy()
+    vhat = vhat.view(np.float64).reshape(g.n_z + 1, g.n_r, 2)
+    ur = _apply_spectral(spec_r, vhat, -1j, g.n_z)
+    uz = _apply_spectral(spec_z, vhat, 1.0, g.n_z)
     return VelocityField(ScalarField(g, ur, "u_r"), ScalarField(g, uz, "u_z"))
 
 

@@ -108,39 +108,28 @@ def _cmd_check(args) -> int:
         records = diagnostics.parse_csv(fh.read())
     failed = False
 
-    # replay the final CSV row from its snapshot; must reproduce bit-exactly
+    # replay the final CSV row from its snapshot; must reproduce bit-exactly.
+    # A missing config.txt or snapshot raises OSError naming it: exit 2.
     if len(records) >= 2:
-        final = records[-1]
-        q_path, omega_path = snapshot_paths(args.out, final.t)
-        if os.path.exists(q_path + ".hdr"):
-            replay = _replay_final_row(args.out, q_path, omega_path, records)
-            if replay is not None and (diagnostics.format_csv([replay])
-                                       != diagnostics.format_csv([final])):
-                print("replay: FAIL (final CSV row does not match snapshot)")
-                failed = True
-            else:
-                print("replay: PASS")
+        with open(os.path.join(args.out, "config.txt"), "r", encoding="utf-8") as fh:
+            cfg = parse_config(fh.read())
+        q_path, omega_path = snapshot_paths(args.out, records[-1].t)
+        q, t = load_field(q_path)
+        omega, _ = load_field(omega_path)
+        u = velocity_from_vorticity(omega, KernelTable(cfg.n_theta))
+        state = SimState(t, records[-1].step_index, q, omega, u)
+        replay = diagnostics.compute_record(state, first=records[0], prev=records[-2])
+        if diagnostics.format_csv([replay]) != diagnostics.format_csv(records[-1:]):
+            print("replay: FAIL (final CSV row does not match snapshot)")
+            failed = True
+        else:
+            print("replay: PASS")
 
     for v in run_checks(records):
         print(v.line())
         if v.passed is False:
             failed = True
     return 1 if failed else 0
-
-
-def _replay_final_row(out_dir, q_path, omega_path, records):
-    cfg_path = os.path.join(out_dir, "config.txt")
-    if not os.path.exists(cfg_path):
-        return None
-    with open(cfg_path, "r", encoding="utf-8") as fh:
-        cfg = parse_config(fh.read())
-    q, t = load_field(q_path)
-    kt = KernelTable(cfg.n_theta)
-    omega, _ = load_field(omega_path)
-    u = velocity_from_vorticity(omega, kt)
-    state = SimState(t, records[-1].step_index, q, omega, u)
-    return diagnostics.compute_record(state, first=records[0],
-                                      prev=records[-2])
 
 
 if __name__ == "__main__":

@@ -30,6 +30,9 @@ class InitialData:
         if self.kind not in _PROFILES:
             raise ValueError(f"kind must be one of {tuple(_PROFILES)}, "
                              f"got {self.kind!r}")
+        for key in ("sigma", "patch_radius"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}")
 
 
 @dataclass

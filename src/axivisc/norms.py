@@ -66,14 +66,17 @@ def lebesgue_norm(f: ScalarField, p: float) -> float:
     return float(np.sum((a ** p * meas).sum(axis=1)) ** (1.0 / p))
 
 
-def lorentz_norm(f: ScalarField, idx) -> float:
-    """L^{p,q} norm via closed-form integration of the step rearrangement."""
+def lorentz_norm(f: ScalarField | RearrangementProfile, idx) -> float:
+    """L^{p,q} norm via closed-form integration of the step rearrangement.
+
+    Pass rearrange(f) instead of f to share one sort between several norms.
+    """
     if not isinstance(idx, LorentzIndex):
         idx = LorentzIndex(*idx)
     p, q = idx.p, idx.q
     if p == INF:
-        return lebesgue_norm(f, INF)
-    prof = rearrange(f)
+        return lebesgue_norm(f, INF) if isinstance(f, ScalarField) else float(f.values[0])
+    prof = rearrange(f) if isinstance(f, ScalarField) else f
     v = prof.values
     t = prof.cumulative
     nz = v > 0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from axivisc import biot_savart
 from axivisc.biot_savart import KernelTable, ur_over_r, velocity_from_vorticity
 from axivisc.grid import (ScalarField, VelocityField, make_grid, zero_field)
 
@@ -89,6 +90,83 @@ class TestVelocityFromVorticity:
                 diffs.append(np.abs(cur - prev).max())
             prev = cur
         assert diffs[0] > diffs[1] > diffs[2]
+
+
+def naive_velocity(omega, kt):
+    """Per-node broadcast quadrature, complex rFFT of the circular embedding."""
+    g = omega.grid
+    n_r, n_z = g.n_r, g.n_z
+    delta = 0.5 * np.hypot(g.dr, g.dz)
+    rt = g.r[:, None, None]
+    rs = g.r[None, :, None]
+    dzs = (np.arange(n_z) * g.dz)[None, None, :]
+    k_r = np.zeros((n_r, n_r, n_z))
+    k_z = np.zeros((n_r, n_r, n_z))
+    for th, w in zip(kt.theta, kt.weights):
+        c = np.cos(th)
+        d = np.sqrt(rt * rt + rs * rs + dzs * dzs - 2.0 * c * rt * rs)
+        inv_d3 = np.where(d >= delta, 1.0 / d ** 3, 0.0)
+        k_r += w * c * dzs * inv_d3
+        k_z -= w * (rt * c - rs) * inv_d3
+    src_w = (g.dr * g.dz / (4.0 * np.pi)) * g.r[None, :, None]
+    L = 2 * n_z
+    vhat = np.fft.rfft(omega.values, n=L, axis=1)
+    out = []
+    for k, sign in ((k_r * src_w, -1.0), (k_z * src_w, 1.0)):
+        circ = np.zeros((n_r, n_r, L))
+        circ[:, :, :n_z] = k
+        circ[:, :, n_z + 1:] = sign * k[:, :, :0:-1]
+        spec = np.fft.rfft(circ, axis=2)
+        out.append(np.fft.irfft(np.einsum("tsk,sk->tk", spec, vhat), n=L,
+                                axis=1)[:, :n_z])
+    return out
+
+
+def bumpy_omega(n_r, n_z):
+    g = make_grid(2.0, -2.0, 2.0, n_r, n_z)
+    R = g.r[:, None]
+    Z = g.z[None, :]
+    rng = np.random.default_rng(3)
+    vals = (R * np.exp(-((R - 0.5) ** 2 + (Z - 0.2) ** 2) / 0.3 ** 2)
+            + 0.1 * rng.normal(size=(n_r, n_z)))
+    return g, ScalarField(g, vals, "omega_theta")
+
+
+class TestSpectralTable:
+    # on the 8x64 grid dr = 4 dz, so the cut-off D < delta reaches the
+    # shifts 0..2; one shift per block puts them in separate blocks
+    @pytest.mark.parametrize("n_r,n_z,n_theta,block", [
+        (12, 24, 16, None), (12, 24, 32, None), (8, 64, 16, 1)])
+    def test_matches_naive_reference(self, n_r, n_z, n_theta, block,
+                                     monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(biot_savart, "_BLOCK_ELEMS", block)
+        _, omega = bumpy_omega(n_r, n_z)
+        kt = KernelTable(n_theta)
+        u = velocity_from_vorticity(omega, kt)
+        ref_r, ref_z = naive_velocity(omega, kt)
+        for got, ref in ((u.u_r.values, ref_r), (u.u_z.values, ref_z)):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_block_size_does_not_change_table(self, monkeypatch):
+        g, _ = bumpy_omega(12, 24)
+        tables = []
+        for elems in (1, 5 * g.n_r * g.n_r, 1 << 30):
+            monkeypatch.setattr(biot_savart, "_BLOCK_ELEMS", elems)
+            tables.append(biot_savart._spectral_velocity_kernels(g, KernelTable(16)))
+        for other in tables[1:]:
+            for a, b in zip(tables[0], other):
+                np.testing.assert_array_equal(a, b)
+
+    def test_tables_are_real_frequency_first(self):
+        g, omega = bumpy_omega(12, 24)
+        kt = KernelTable(16)
+        velocity_from_vorticity(omega, kt)
+        (tables,) = kt._cache.values()
+        assert len(tables) == 2
+        for t in tables:
+            assert t.dtype == np.float64
+            assert t.shape == (g.n_z + 1, g.n_r, g.n_r)
 
 
 class TestUrOverR:

@@ -222,6 +222,16 @@ class TestComputeRecord:
             norms.lebesgue_norm(state.omega, 2.0), rel=1e-14)
         assert rec.energy_lhs == rec.kinetic_energy
 
+    def test_one_rearrangement_per_field(self, state, monkeypatch):
+        from axivisc import norms
+        calls = []
+        rearrange = norms.rearrange
+        monkeypatch.setattr(norms, "rearrange",
+                            lambda f: calls.append(f) or rearrange(f))
+        compute_record(state, first=None, prev=None)
+        # q, omega, dz omega, dz q and dr omega
+        assert len(calls) == 5
+
     def test_trapezoid_running_integral(self, state):
         first = compute_record(state, first=None, prev=None)
         prev = dataclasses.replace(first, sup_ur_over_r=2.0, dz_u_l2_sq=3.0)

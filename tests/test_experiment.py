@@ -246,6 +246,34 @@ class TestCli:
         assert err.startswith("error: ")
         assert snap + (".hdr" if damage == "header" else ".bin") in err
 
+    @pytest.mark.parametrize("missing", ["config", "snapshot"])
+    def test_check_without_replay_input_exit_2(self, tmp_path, capsys, missing):
+        # a replay that cannot run must not be reported as a pass
+        cfg_file = tmp_path / "cfg.txt"
+        out = str(tmp_path / "out")
+        cfg_file.write_text(tiny_config_text(out))
+        assert cli.main(["run", "--config", str(cfg_file)]) == 0
+        capsys.readouterr()
+        gone = os.path.join(out, "config.txt" if missing == "config"
+                            else "q_t0.004000.hdr")
+        os.remove(gone)
+        assert cli.main(["check", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert "replay: PASS" not in captured.out
+        assert captured.err.startswith("error: ")
+        assert gone in captured.err
+
+    @pytest.mark.parametrize("line", ["sigma = 0", "patch_radius = -1"])
+    def test_nonpositive_length_exit_2(self, tmp_path, capsys, line):
+        cfg_file = tmp_path / "cfg.txt"
+        out = str(tmp_path / "out")
+        cfg_file.write_text(tiny_config_text(out, extra=line + "\n"))
+        assert cli.main(["run", "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert line.split(" = ")[0] + " must be positive" in err
+        assert not os.path.exists(out)
+
     def test_missing_run_dir_exit_2(self, tmp_path, capsys):
         assert cli.main(["check", "--out", str(tmp_path / "nope")]) == 2
 

@@ -88,6 +88,12 @@ class TestLebesgueNorm:
 
 
 class TestLorentzNorm:
+    @pytest.mark.parametrize("idx", [(1.5, 1.0), (3.0, 1.0), (1.2, 1.2),
+                                     (2.0, INF), (INF, INF)])
+    def test_precomputed_rearrangement_gives_same_value(self, grid16, idx):
+        f = random_field(grid16, np.random.default_rng(6))
+        assert lorentz_norm(rearrange(f), idx) == lorentz_norm(f, idx)
+
     def test_indicator_closed_form(self, grid16):
         rng = np.random.default_rng(4)
         mask = rng.random((16, 16)) < 0.3

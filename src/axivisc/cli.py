@@ -17,9 +17,8 @@ if "AXIVISC_THREADS" in os.environ:
 
 from . import diagnostics, norms
 from .biot_savart import KernelTable, velocity_from_vorticity
-from .evolution import SimState
-from .experiment import (ExperimentConfig, parse_config, run_checks,
-                         run_experiment, snapshot_paths)
+from .experiment import (ExperimentConfig, load_state, parse_config, run_checks,
+                         run_experiment)
 from .grid import load_field, save_field
 
 
@@ -108,22 +107,20 @@ def _cmd_check(args) -> int:
         records = diagnostics.parse_csv(fh.read())
     failed = False
 
-    # replay the final CSV row from its snapshot; must reproduce bit-exactly.
-    # A missing config.txt or snapshot raises OSError naming it: exit 2.
-    if len(records) >= 2:
-        with open(os.path.join(args.out, "config.txt"), "r", encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
-        q_path, omega_path = snapshot_paths(args.out, records[-1].t)
-        q, t = load_field(q_path)
-        omega, _ = load_field(omega_path)
-        u = velocity_from_vorticity(omega, KernelTable(cfg.n_theta))
-        state = SimState(t, records[-1].step_index, q, omega, u)
-        replay = diagnostics.compute_record(state, first=records[0], prev=records[-2])
-        if diagnostics.format_csv([replay]) != diagnostics.format_csv(records[-1:]):
-            print("replay: FAIL (final CSV row does not match snapshot)")
-            failed = True
-        else:
-            print("replay: PASS")
+    # replay the final CSV row from its snapshot and the running integrals in
+    # its header; must reproduce bit-exactly.  A missing config.txt, snapshot
+    # or header key raises naming the file: exit 2.
+    with open(os.path.join(args.out, "config.txt"), "r", encoding="utf-8") as fh:
+        cfg = parse_config(fh.read())
+    final = records[-1]
+    state = load_state(args.out, final.t, final.step_index, KernelTable(cfg.n_theta))
+    first = records[0] if len(records) > 1 else None
+    replay = diagnostics.compute_record(state, first=first)
+    if diagnostics.format_csv([replay]) != diagnostics.format_csv([final]):
+        print("replay: FAIL (final CSV row does not match snapshot)")
+        failed = True
+    else:
+        print("replay: PASS")
 
     for v in run_checks(records):
         print(v.line())

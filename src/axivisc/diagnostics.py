@@ -61,9 +61,9 @@ class DiagnosticsRecord:
     sup_u: float
     sup_ur: float
     sup_ur_over_r: float
-    int_sup_ur_over_r: float       # trapezoid-in-t running integral
+    int_sup_ur_over_r: float       # running integral, one trapezoid per step
     dz_u_l2_sq: float
-    twice_int_dz_u_l2_sq: float    # 2 * running integral of dz_u_l2_sq
+    twice_int_dz_u_l2_sq: float    # 2 * running integral of dz_u_l2_sq, per step
     kinetic_energy: float          # ||u||_{L^2}^2
     # ratios
     energy_lhs: float
@@ -87,9 +87,9 @@ def _ratio(num: float, den: float) -> float:
     return num / den
 
 
-def compute_record(state, first: DiagnosticsRecord | None,
-                   prev: DiagnosticsRecord | None) -> DiagnosticsRecord:
-    """All diagnostics at one instant; a pure function of the state."""
+def compute_record(state, first: DiagnosticsRecord | None) -> DiagnosticsRecord:
+    """All diagnostics at one instant: a pure function of the state, running
+    integrals included, and of the initial record (None for the initial row)."""
     q = state.q
     omega = state.omega
     u = state.u
@@ -103,22 +103,13 @@ def compute_record(state, first: DiagnosticsRecord | None,
     sup_q = float(np.max(np.abs(q.values)))
     sup_u = float(np.sqrt(np.max(u.u_r.values ** 2 + u.u_z.values ** 2)))
     sup_ur = float(np.max(np.abs(u.u_r.values)))
-    sup_uror = float(np.max(np.abs(uror.values)))
-
-    dz_ur = ddz(u.u_r).values
-    dz_uz = ddz(u.u_z).values
+    sup_uror, dz_u_sq = state.integrands
     meas = g.cell_measure()
-    dz_u_sq = float(np.sum(((dz_ur ** 2 + dz_uz ** 2) * meas).sum(axis=1)))
     kinetic = float(np.sum(((u.u_r.values ** 2 + u.u_z.values ** 2) * meas).sum(axis=1)))
 
     t = state.t
-    if prev is None:
-        int_uror = 0.0
-        int_dzu2 = 0.0
-    else:
-        dt = t - prev.t
-        int_uror = prev.int_sup_ur_over_r + 0.5 * dt * (prev.sup_ur_over_r + sup_uror)
-        int_dzu2 = prev.twice_int_dz_u_l2_sq + dt * (prev.dz_u_l2_sq + dz_u_sq)
+    int_uror = state.int_sup_ur_over_r
+    int_dzu2 = state.twice_int_dz_u_l2_sq
 
     # one rearrangement (sort) per field, shared by its Lorentz norms
     q_re, omega_re, dz_omega_re, dz_q_re, dr_omega_re = (

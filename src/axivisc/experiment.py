@@ -9,9 +9,11 @@ from typing import get_type_hints
 import numpy as np
 
 from . import diagnostics
-from .biot_savart import KernelTable
-from .evolution import RunResult, SimConfig, run, snapshot_targets
-from .grid import GridSpec, ScalarField, _atomic_write, make_grid, save_field
+from .biot_savart import KernelTable, velocity_from_vorticity
+from .evolution import (RUNNING_INTEGRALS, RunResult, SimConfig, SimState, run,
+                        snapshot_targets)
+from .grid import (GridSpec, ScalarField, _atomic_write, load_field, load_header,
+                   make_grid, save_field)
 
 SUPPORT_THRESHOLD = 1e-10   # relative cut defining the numerical support
 MARGIN_FRACTION = 0.25      # support must stay this far (x extent) from boundaries
@@ -186,10 +188,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                   format_config(cfg).encode("utf-8"))
     _atomic_write(os.path.join(out, "diagnostics.csv"),
                   diagnostics.format_csv(result.records).encode("utf-8"))
-    for t, (q, omega) in sorted(result.snapshots.items()):
+    for t, state in sorted(result.snapshots.items()):
         q_path, omega_path = snapshot_paths(out, t)
-        save_field(q_path, q, time=t)
-        save_field(omega_path, omega, time=t)
+        save_field(q_path, state.q, time=t)
+        save_field(omega_path, state.omega, time=t,
+                   extra={k: getattr(state, k) for k in RUNNING_INTEGRALS})
 
     verdicts = run_checks(result.records)
     _atomic_write(os.path.join(out, "summary.txt"),
@@ -202,6 +205,18 @@ def snapshot_paths(run_dir: str, t: float) -> tuple[str, str]:
     tag = f"{t:.6f}"
     return (os.path.join(run_dir, f"q_t{tag}"),
             os.path.join(run_dir, f"omega_t{tag}"))
+
+
+def load_state(run_dir: str, t: float, step_index: int,
+               kt: KernelTable) -> SimState:
+    """The state a run saved at time t: its fields, the running integrals from
+    the omega header, and the velocity rebuilt from omega."""
+    q_path, omega_path = snapshot_paths(run_dir, t)
+    q, t_saved = load_field(q_path)
+    omega, _ = load_field(omega_path)
+    meta = load_header(omega_path, RUNNING_INTEGRALS)
+    return SimState(t_saved, step_index, q, omega, velocity_from_vorticity(omega, kt),
+                    **{k: float(meta[k]) for k in RUNNING_INTEGRALS})
 
 
 def _check_snapshot_names(times: list):

@@ -156,7 +156,9 @@ def cylindrical_integral(f: ScalarField) -> float:
 # Snapshot persistence: <path>.bin holds the raw little-endian float64 array
 # (row-major, r slow), <path>.hdr is a sidecar text header.
 
-def save_field(path: str, f: ScalarField, time: float = 0.0):
+def save_field(path: str, f: ScalarField, time: float = 0.0,
+               extra: dict | None = None):
+    """Write a snapshot; each `extra` key=value (floats, by repr) joins the header."""
     g = f.grid
     hdr = (
         f"n_r={g.n_r}\n"
@@ -166,21 +168,28 @@ def save_field(path: str, f: ScalarField, time: float = 0.0):
         f"z_max={g.z_max!r}\n"
         f"role={f.role}\n"
         f"time={time!r}\n"
-    )
+    ) + "".join(f"{k}={v!r}\n" for k, v in (extra or {}).items())
     _atomic_write(path + ".hdr", hdr.encode("utf-8"))
     _atomic_write(path + ".bin", f.values.astype("<f8").tobytes())
 
 
-def load_field(path: str) -> tuple[ScalarField, float]:
-    """Read a snapshot; a malformed one raises a ValueError naming its file."""
+def load_header(path: str, keys: tuple) -> dict[str, str]:
+    """A snapshot's header as text values; a header without one of `keys`
+    raises a ValueError naming its file."""
     with open(path + ".hdr", "r", encoding="utf-8") as fh:
         meta = dict(line.strip().partition("=")[::2] for line in fh)
-    try:
-        grid = make_grid(float(meta["r_max"]), float(meta["z_min"]),
-                         float(meta["z_max"]), int(meta["n_r"]), int(meta["n_z"]))
-        role, t = meta["role"], float(meta["time"])
-    except KeyError as exc:
-        raise ValueError(f"{path}.hdr: header lacks key {exc}") from None
+    for key in keys:
+        if key not in meta:
+            raise ValueError(f"{path}.hdr: header lacks key {key!r}")
+    return meta
+
+
+def load_field(path: str) -> tuple[ScalarField, float]:
+    """Read a snapshot; a malformed one raises a ValueError naming its file."""
+    meta = load_header(path, ("n_r", "n_z", "r_max", "z_min", "z_max", "role", "time"))
+    grid = make_grid(float(meta["r_max"]), float(meta["z_min"]),
+                     float(meta["z_max"]), int(meta["n_r"]), int(meta["n_z"]))
+    role, t = meta["role"], float(meta["time"])
     size = os.path.getsize(path + ".bin")
     if size != 8 * grid.n_r * grid.n_z:
         raise ValueError(f"{path}.bin: {size} bytes, expected 8 per value "

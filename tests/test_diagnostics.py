@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +9,7 @@ from axivisc.diagnostics import (CSV_COLUMNS, CheckResult, DiagnosticsRecord,
                                  energy_check, format_csv, growth_check,
                                  hardy_check, lemma_lp_check,
                                  max_principle_check, parse_csv, sqrt_t_check)
-from axivisc.evolution import SimConfig, initial_state
+from axivisc.evolution import SimConfig, initial_state, run
 from axivisc.grid import ScalarField, make_grid
 
 
@@ -208,7 +207,7 @@ def state():
 class TestComputeRecord:
 
     def test_initial_record_integrals_zero(self, state):
-        rec = compute_record(state, first=None, prev=None)
+        rec = compute_record(state, first=None)
         assert rec.t == 0.0
         assert rec.int_sup_ur_over_r == 0.0
         assert rec.twice_int_dz_u_l2_sq == 0.0
@@ -216,7 +215,7 @@ class TestComputeRecord:
 
     def test_consistency_with_norm_module(self, state):
         from axivisc import norms
-        rec = compute_record(state, first=None, prev=None)
+        rec = compute_record(state, first=None)
         assert rec.sup_q == np.abs(state.q.values).max()
         assert rec.omega_l2 == pytest.approx(
             norms.lebesgue_norm(state.omega, 2.0), rel=1e-14)
@@ -228,22 +227,23 @@ class TestComputeRecord:
         rearrange = norms.rearrange
         monkeypatch.setattr(norms, "rearrange",
                             lambda f: calls.append(f) or rearrange(f))
-        compute_record(state, first=None, prev=None)
+        compute_record(state, first=None)
         # q, omega, dz omega, dz q and dr omega
         assert len(calls) == 5
 
     def test_trapezoid_running_integral(self, state):
-        first = compute_record(state, first=None, prev=None)
-        prev = dataclasses.replace(first, sup_ur_over_r=2.0, dz_u_l2_sq=3.0)
-        state.t = 0.5
-        try:
-            rec = compute_record(state, first=first, prev=prev)
-        finally:
-            state.t = 0.0
-        assert rec.int_sup_ur_over_r == pytest.approx(
-            0.5 * 0.5 * (2.0 + rec.sup_ur_over_r))
-        assert rec.twice_int_dz_u_l2_sq == pytest.approx(
-            0.5 * (3.0 + rec.dz_u_l2_sq))
+        # each record reads the state's integrals, which run() advances by
+        # one trapezoid per step
+        res = run(SimConfig(state.q.grid, t_end=0.02, cadence=1), state.q,
+                  KernelTable(32))
+        assert len(res.records) >= 4
+        for a, b in zip(res.records, res.records[1:]):
+            dt = b.t - a.t
+            assert b.int_sup_ur_over_r == a.int_sup_ur_over_r + 0.5 * dt * (
+                a.sup_ur_over_r + b.sup_ur_over_r)
+            assert b.twice_int_dz_u_l2_sq == a.twice_int_dz_u_l2_sq + dt * (
+                a.dz_u_l2_sq + b.dz_u_l2_sq)
+            assert b.energy_lhs == b.kinetic_energy + b.twice_int_dz_u_l2_sq
 
 
 class TestCsv:

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from axivisc.biot_savart import KernelTable, velocity_from_vorticity
+from axivisc.diagnostics import format_csv
 from axivisc.evolution import (SimConfig, SimState, _advect, _diffuse_z,
                                advance_omega_direct, cfl_dt, initial_state,
                                run, step)
+from axivisc.experiment import run_checks
 from axivisc.grid import (ScalarField, VelocityField, cylindrical_integral,
                           make_grid, zero_field)
 
@@ -28,7 +30,7 @@ class TestCflDt:
         g, kt = small
         cfg = SimConfig(g, dt_cfl_factor=0.5)
         st = initial_state(zero_field(g, "q_omega_over_r"), cfg, kt)
-        assert cfl_dt(st, cfg) == pytest.approx(0.5 * g.dz ** 2 / 2)
+        assert cfl_dt(st, cfg) == pytest.approx(0.5 * g.dz ** 2)
 
     def test_advective_bound_dominates(self, small):
         g, kt = small
@@ -45,7 +47,7 @@ class TestCflDt:
         cfg = SimConfig(g, eps_h=10.0)
         st = initial_state(zero_field(g, "q_omega_over_r"), cfg, kt)
         assert cfl_dt(st, cfg) == pytest.approx(
-            0.9 * min(g.dz ** 2 / 2, 0.25 * g.dr ** 2 / 10.0))
+            0.9 * min(g.dz ** 2, 0.25 * g.dr ** 2 / 10.0))
 
     def test_cap(self, small):
         g, kt = small
@@ -204,6 +206,23 @@ class TestRun:
         np.testing.assert_array_equal(r1.final_state.q.values,
                                       r2.final_state.q.values)
         assert len(r1.records) == len(r2.records)
+
+    def test_cadence_does_not_change_rows(self, small):
+        # the running integrals advance every step, so a row and every
+        # verdict are the same however often rows are written
+        g, kt = small
+        q0 = gaussian_q0(g)
+        rows, verdicts = {}, {}
+        for cadence in (1, 10, 100):
+            res = run(SimConfig(g, t_end=0.7, cadence=cadence), q0, kt)
+            assert res.final_state.step_index > 100
+            rows[cadence] = {r.step_index: format_csv([r]) for r in res.records}
+            verdicts[cadence] = [v.passed for v in run_checks(res.records)]
+        shared = set(rows[1]) & set(rows[10]) & set(rows[100])
+        assert len(shared) == 3      # step 0, step 100 and the final step
+        for k in shared:
+            assert rows[1][k] == rows[10][k] == rows[100][k]
+        assert verdicts[1] == verdicts[10] == verdicts[100]
 
     def test_dt_self_convergence(self, small):
         # halving dt_cfl_factor roughly halves the error of the first-order

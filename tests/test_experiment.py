@@ -164,6 +164,20 @@ def tiny_config_text(out_dir, t_end=0.004, extra=""):
             f"t_end = {t_end}\nout_dir = {out_dir}\n{extra}")
 
 
+def tamper_final_row(run_dir, column):
+    """Scale one nonzero value of the final diagnostics.csv row by 1.0001."""
+    csv_path = os.path.join(run_dir, "diagnostics.csv")
+    with open(csv_path) as fh:
+        lines = fh.read().splitlines()
+    col = lines[0].split(",").index(column)
+    cols = lines[-1].split(",")
+    assert float(cols[col]) != 0.0
+    cols[col] = repr(float(cols[col]) * 1.0001)
+    lines[-1] = ",".join(cols)
+    with open(csv_path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 class TestCli:
     def test_run_and_check_round_trip(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.txt"
@@ -183,14 +197,18 @@ class TestCli:
         cfg_file.write_text(tiny_config_text(out))
         assert cli.main(["run", "--config", str(cfg_file)]) == 0
         capsys.readouterr()
-        csv_path = os.path.join(out, "diagnostics.csv")
-        with open(csv_path) as fh:
-            lines = fh.read().splitlines()
-        cols = lines[-1].split(",")
-        cols[2] = repr(float(cols[2]) * 1.0001)    # perturb sup_q in final row
-        lines[-1] = ",".join(cols)
-        with open(csv_path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        tamper_final_row(out, "sup_q")
+        assert cli.main(["check", "--out", out]) == 1
+        assert "replay: FAIL" in capsys.readouterr().out
+
+    def test_check_detects_tampered_integral(self, tmp_path, capsys):
+        # the replay rebuilds the running integrals from the snapshot header
+        cfg_file = tmp_path / "cfg.txt"
+        out = str(tmp_path / "out")
+        cfg_file.write_text(tiny_config_text(out))
+        assert cli.main(["run", "--config", str(cfg_file)]) == 0
+        capsys.readouterr()
+        tamper_final_row(out, "twice_int_dz_u_l2_sq")
         assert cli.main(["check", "--out", out]) == 1
         assert "replay: FAIL" in capsys.readouterr().out
 
@@ -202,6 +220,18 @@ class TestCli:
         with open(os.path.join(out, "diagnostics.csv")) as fh:
             rows = [ln for ln in fh.read().splitlines() if ln.strip()]
         assert len(rows) == 2   # header + t=0 row
+        # the single row is replayed too, and needs its snapshot
+        capsys.readouterr()
+        assert cli.main(["check", "--out", out]) == 0
+        assert "replay: PASS" in capsys.readouterr().out
+        snap = os.path.join(out, "q_t0.000000")
+        for ext in (".hdr", ".bin"):
+            os.remove(snap + ext)
+        assert cli.main(["check", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert "replay: PASS" not in captured.out
+        assert captured.err.startswith("error: ")
+        assert snap + ".hdr" in captured.err
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.txt"
@@ -246,7 +276,7 @@ class TestCli:
         assert err.startswith("error: ")
         assert snap + (".hdr" if damage == "header" else ".bin") in err
 
-    @pytest.mark.parametrize("missing", ["config", "snapshot"])
+    @pytest.mark.parametrize("missing", ["config", "snapshot", "integral"])
     def test_check_without_replay_input_exit_2(self, tmp_path, capsys, missing):
         # a replay that cannot run must not be reported as a pass
         cfg_file = tmp_path / "cfg.txt"
@@ -254,9 +284,18 @@ class TestCli:
         cfg_file.write_text(tiny_config_text(out))
         assert cli.main(["run", "--config", str(cfg_file)]) == 0
         capsys.readouterr()
-        gone = os.path.join(out, "config.txt" if missing == "config"
-                            else "q_t0.004000.hdr")
-        os.remove(gone)
+        if missing == "integral":
+            # a header written without the running integrals
+            gone = os.path.join(out, "omega_t0.004000.hdr")
+            with open(gone) as fh:
+                kept = [ln for ln in fh
+                        if not ln.startswith("twice_int_dz_u_l2_sq=")]
+            with open(gone, "w") as fh:
+                fh.writelines(kept)
+        else:
+            gone = os.path.join(out, "config.txt" if missing == "config"
+                                else "q_t0.004000.hdr")
+            os.remove(gone)
         assert cli.main(["check", "--out", out]) == 2
         captured = capsys.readouterr()
         assert "replay: PASS" not in captured.out

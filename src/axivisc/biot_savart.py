@@ -53,9 +53,8 @@ class KernelTable:
 
 def _spectral_velocity_kernels(grid: GridSpec, kt: KernelTable):
     """Real z-spectra of the u^r (over -i) and u^z kernels, each (n_z+1, n_r, n_r)."""
-    key = ("uv", grid.key())
-    if key in kt._cache:
-        return kt._cache[key]
+    if grid in kt._cache:
+        return kt._cache[grid]
 
     r, dz, n_r, n_z = grid.r, grid.dz, grid.n_r, grid.n_z
     delta = 0.5 * np.hypot(grid.dr, dz)
@@ -95,7 +94,7 @@ def _spectral_velocity_kernels(grid: GridSpec, kt: KernelTable):
     k_z[:] = sp_fft.dct(k_z, type=1, axis=0)
     k_r[1:n_z] = sp_fft.dst(k_r[1:n_z], type=1, axis=0)
     k_r[0] = 0.0
-    kt._cache[key] = (k_r, k_z)
+    kt._cache[grid] = (k_r, k_z)
     return k_r, k_z
 
 

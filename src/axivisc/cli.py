@@ -9,12 +9,6 @@ import argparse
 import os
 import sys
 
-if "AXIVISC_THREADS" in os.environ:
-    # cap BLAS/FFT worker pools before numpy is first imported
-    _n = os.environ["AXIVISC_THREADS"]
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _n)
-
 from . import diagnostics, norms
 from .biot_savart import KernelTable, velocity_from_vorticity
 from .experiment import (ExperimentConfig, load_state, parse_config, run_checks,

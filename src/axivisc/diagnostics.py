@@ -16,7 +16,7 @@ import numpy as np
 
 from . import norms
 from .biot_savart import ur_over_r
-from .grid import ScalarField, ddr, ddz
+from .grid import ScalarField, cylindrical_integral, ddr, ddz
 
 INF = math.inf
 
@@ -104,8 +104,8 @@ def compute_record(state, first: DiagnosticsRecord | None) -> DiagnosticsRecord:
     sup_u = float(np.sqrt(np.max(u.u_r.values ** 2 + u.u_z.values ** 2)))
     sup_ur = float(np.max(np.abs(u.u_r.values)))
     sup_uror, dz_u_sq = state.integrands
-    meas = g.cell_measure()
-    kinetic = float(np.sum(((u.u_r.values ** 2 + u.u_z.values ** 2) * meas).sum(axis=1)))
+    kinetic = cylindrical_integral(
+        ScalarField(g, u.u_r.values ** 2 + u.u_z.values ** 2))
 
     t = state.t
     int_uror = state.int_sup_ur_over_r

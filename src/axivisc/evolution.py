@@ -17,8 +17,10 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import solve_banded
 
+from . import diagnostics
 from .biot_savart import KernelTable, ur_over_r, velocity_from_vorticity
-from .grid import GridSpec, ODD_ROLES, ScalarField, VelocityField, ddz
+from .grid import (GridSpec, ODD_ROLES, ScalarField, VelocityField, axis_ghost,
+                   cylindrical_integral, ddz)
 
 # Step cap of the vertical diffusion, as lambda = dt/dz^2.  Backward Euler is
 # stable and monotone at any dt, so this is an accuracy cap: at lambda = 1 its
@@ -47,6 +49,10 @@ class SimConfig:
             raise ValueError(f"dt_cfl_factor must be in (0,1], got {self.dt_cfl_factor}")
         if self.eps_h < 0:
             raise ValueError(f"eps_h must be >= 0, got {self.eps_h}")
+        if self.t_end < 0:
+            raise ValueError(f"t_end must be >= 0, got {self.t_end}")
+        if self.cadence < 1:
+            raise ValueError(f"cadence must be >= 1, got {self.cadence}")
 
 
 @dataclass
@@ -65,11 +71,9 @@ class SimState:
         """(sup|u^r/r|, ||dz u||_{L^2}^2) of this state, computed once and
         shared by the step loop and the diagnostics record."""
         u = self.u
-        meas = u.grid.cell_measure()
         sup_uror = float(np.max(np.abs(ur_over_r(u).values)))
-        dz_ur = ddz(u.u_r).values
-        dz_uz = ddz(u.u_z).values
-        dz_u_sq = float(np.sum(((dz_ur ** 2 + dz_uz ** 2) * meas).sum(axis=1)))
+        dz_u_sq = cylindrical_integral(
+            ScalarField(u.grid, ddz(u.u_r).values ** 2 + ddz(u.u_z).values ** 2))
         return sup_uror, dz_u_sq
 
 
@@ -83,16 +87,16 @@ def initial_state(q0: ScalarField, config: SimConfig, kt: KernelTable) -> SimSta
 # ---------------------------------------------------------------------------
 # interpolation with role-aware axis reflection and zero outer extension
 
-def _sample(values: np.ndarray, role: str, grid: GridSpec,
-            r_pts: np.ndarray, z_pts: np.ndarray, clamp: bool) -> np.ndarray:
+def _sample(f: ScalarField, r_pts: np.ndarray, z_pts: np.ndarray,
+            clamp: bool) -> np.ndarray:
+    grid = f.grid
     n_r, n_z = grid.n_r, grid.n_z
-    odd = role in ODD_ROLES
-    sign = np.where(r_pts < 0, -1.0, 1.0) if odd else 1.0
+    sign = np.where(r_pts < 0, -1.0, 1.0) if f.role in ODD_ROLES else 1.0
     rr = np.abs(r_pts)
 
     padded = np.zeros((n_r + 2, n_z + 2))
-    padded[1:-1, 1:-1] = values
-    padded[0, 1:-1] = -values[0] if odd else values[0]
+    padded[1:-1, 1:-1] = f.values
+    padded[0, 1:-1] = axis_ghost(f)
 
     pr = np.clip(rr / grid.dr + 0.5, 0.0, n_r + 1.0)
     pz = np.clip((z_pts - grid.z_min) / grid.dz + 0.5, 0.0, n_z + 1.0)
@@ -121,14 +125,14 @@ def _trace_feet(u: VelocityField, dt: float):
     Z = np.broadcast_to(g.z[None, :], (g.n_r, g.n_z))
     r_mid = R - 0.5 * dt * u.u_r.values
     z_mid = Z - 0.5 * dt * u.u_z.values
-    ur_m = _sample(u.u_r.values, "u_r", g, r_mid, z_mid, clamp=False)
-    uz_m = _sample(u.u_z.values, "u_z", g, r_mid, z_mid, clamp=False)
+    ur_m = _sample(u.u_r, r_mid, z_mid, clamp=False)
+    uz_m = _sample(u.u_z, r_mid, z_mid, clamp=False)
     return R - dt * ur_m, Z - dt * uz_m
 
 
 def _advect(f: ScalarField, u: VelocityField, dt: float) -> np.ndarray:
     r_f, z_f = _trace_feet(u, dt)
-    return _sample(f.values, f.role, f.grid, r_f, z_f, clamp=True)
+    return _sample(f, r_f, z_f, clamp=True)
 
 
 def _diffuse_z(values: np.ndarray, grid: GridSpec, dt: float) -> np.ndarray:
@@ -149,7 +153,8 @@ def _diffuse_z(values: np.ndarray, grid: GridSpec, dt: float) -> np.ndarray:
 
 
 def _horizontal_laplacian(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Axisymmetric Delta_h = d_rr + (1/r) d_r, even axis ghost, zero outer ghost."""
+    """Axisymmetric Delta_h = d_rr + (1/r) d_r, zero outer ghost.  Both schemes
+    apply it to the even q = omega/r only, so its even axis ghost is right."""
     n_r = grid.n_r
     dr = grid.dr
     ext = np.empty((n_r + 2, values.shape[1]))
@@ -201,7 +206,7 @@ def advance_q(q: ScalarField, u: VelocityField, dt: float,
 def advance_omega_direct(omega: ScalarField, u: VelocityField, dt: float,
                          eps_h: float = 0.0) -> ScalarField:
     """Direct omega step: advection, integrating-factor stretching, diffusion
-    (+ eps_h term).
+    (+ eps_h term, r * Delta_h(omega / r): the q equation's operator).
 
     The stretching factor exp(dt * u^r/r) uses u frozen at step start, so
     positivity of omega is preserved exactly.
@@ -211,7 +216,8 @@ def advance_omega_direct(omega: ScalarField, u: VelocityField, dt: float,
     vals = vals * np.exp(dt * u.u_r.values / g.r[:, None])
     vals = _diffuse_z(vals, g, dt)
     if eps_h > 0:
-        vals = vals + dt * eps_h * _horizontal_laplacian(vals, g)
+        r = g.r[:, None]
+        vals = vals + dt * eps_h * r * _horizontal_laplacian(vals / r, g)
     return ScalarField(g, vals, omega.role)
 
 
@@ -251,10 +257,6 @@ def run(config: SimConfig, q0: ScalarField, kt: KernelTable | None = None,
     Snapshot times (and t_end) are hit exactly by capping the step.  The loop
     is fully deterministic for a given config and initial field.
     """
-    from . import diagnostics
-
-    if config.t_end < 0:
-        raise ValueError("t_end must be >= 0")
     if kt is None:
         kt = KernelTable(config.n_theta)
     state = initial_state(q0, config, kt)

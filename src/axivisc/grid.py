@@ -53,9 +53,6 @@ class GridSpec:
         m = 2.0 * np.pi * self.r * self.dr * self.dz
         return np.broadcast_to(m[:, None], (self.n_r, self.n_z)).copy()
 
-    def key(self) -> tuple:
-        return (self.r_max, self.z_min, self.z_max, self.n_r, self.n_z)
-
 
 def make_grid(r_max: float, z_min: float, z_max: float,
               n_r: int, n_z: int) -> GridSpec:
@@ -146,10 +143,10 @@ def divergence(u: VelocityField) -> ScalarField:
 
 def cylindrical_integral(f: ScalarField) -> float:
     """Sum of f over cells weighted by 2*pi*r*dr*dz, fixed summation order."""
-    g = f.grid
-    w = 2.0 * np.pi * g.r * g.dr * g.dz
-    # row-by-row accumulation keeps the reduction order deterministic
-    return float(np.sum(f.values.sum(axis=1) * w))
+    # weight by the full C-ordered cell_measure(), then sum the rows: velocity
+    # arrays are F-ordered (irfft(...).T), and a broadcast (n_r, 1) weight
+    # would change the product's layout and move its row sums by a few ulp
+    return float(np.sum((f.values * f.grid.cell_measure()).sum(axis=1)))
 
 
 # ---------------------------------------------------------------------------

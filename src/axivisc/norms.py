@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ScalarField
+from .grid import ScalarField, cylindrical_integral
 
 INF = math.inf
 
@@ -62,8 +62,7 @@ def lebesgue_norm(f: ScalarField, p: float) -> float:
     a = np.abs(f.values)
     if p == INF:
         return float(a.max())
-    meas = f.grid.cell_measure()
-    return float(np.sum((a ** p * meas).sum(axis=1)) ** (1.0 / p))
+    return cylindrical_integral(ScalarField(f.grid, a ** p)) ** (1.0 / p)
 
 
 def lorentz_norm(f: ScalarField | RearrangementProfile, idx) -> float:

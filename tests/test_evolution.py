@@ -169,11 +169,13 @@ class TestStep:
         np.testing.assert_allclose(
             st.omega.values, g.r[:, None] * st.q.values, atol=1e-14)
 
-    def test_schemes_agree_at_short_time(self, small):
-        # q-transport and direct omega stepping converge to each other
+    @pytest.mark.parametrize("eps_h", [0.0, 1e-2])
+    def test_schemes_agree_at_short_time(self, small, eps_h):
+        # q-transport and direct omega stepping solve one equation, eps_h
+        # term included, and converge to each other
         g, kt = small
-        cfg_q = SimConfig(g, t_end=0.05)
-        cfg_w = SimConfig(g, t_end=0.05, evolve_omega_direct=True)
+        cfg_q = SimConfig(g, t_end=0.05, eps_h=eps_h)
+        cfg_w = SimConfig(g, t_end=0.05, eps_h=eps_h, evolve_omega_direct=True)
         q0 = gaussian_q0(g)
         res_q = run(cfg_q, q0, kt)
         res_w = run(cfg_w, q0, kt)
@@ -248,6 +250,8 @@ class TestSimConfigValidation:
         {"dt_cfl_factor": 0.0},
         {"dt_cfl_factor": 1.5},
         {"eps_h": -1.0},
+        {"cadence": 0},
+        {"t_end": -1.0},
     ])
     def test_rejects(self, small, kwargs):
         g, _ = small

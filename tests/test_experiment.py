@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from axivisc import cli, norms
+from axivisc.biot_savart import KernelTable
 from axivisc.evolution import SimConfig
 from axivisc.experiment import (ExperimentConfig, InitialData, build_initial,
-                                format_config, parse_config,
+                                format_config, parse_config, run_experiment,
                                 support_margin_violation)
 from axivisc.grid import ScalarField, load_field, make_grid, save_field
 
@@ -313,6 +314,19 @@ class TestCli:
         assert line.split(" = ")[0] + " must be positive" in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("line, message", [
+        ("n_theta = 15", "n_theta must be even"),
+        ("r0 = 1.9", "margin"),
+    ])
+    def test_rejected_run_exit_2_before_writing(self, tmp_path, capsys,
+                                                line, message):
+        cfg_file = tmp_path / "cfg.txt"
+        out = str(tmp_path / "out")
+        cfg_file.write_text(tiny_config_text(out, extra=line + "\n"))
+        assert cli.main(["run", "--config", str(cfg_file)]) == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_missing_run_dir_exit_2(self, tmp_path, capsys):
         assert cli.main(["check", "--out", str(tmp_path / "nope")]) == 2
 
@@ -346,3 +360,14 @@ class TestCli:
         assert t == 0.0
         assert ur.role == "u_r"
         assert np.abs(ur.values).max() > 0
+
+
+class TestRunExperiment:
+    def test_kernel_table_must_match_n_theta(self, tmp_path):
+        # config.txt records cfg.n_theta, so a table of another count would
+        # run a different quadrature than the one the run directory names
+        out = str(tmp_path / "out")
+        cfg = ExperimentConfig(n_r=20, n_z=40, n_theta=64, t_end=0.004)
+        with pytest.raises(ValueError, match="n_theta"):
+            run_experiment(cfg, out_dir=out, kt=KernelTable(32))
+        assert not os.path.exists(out)

@@ -12,10 +12,11 @@ accurate), with the mirror nodes theta' and 2pi-theta' (equal cosines) summed
 as one.  The kernels depend on z and z' only through z-z' on a uniform grid,
 so the quadrature is precomputed, in fixed-size blocks of z-shifts, into a
 (z-shift, r, r') table, and the sum over sources is a circular convolution in
-z.  The even u^z kernel is stored as its real DCT-I spectrum, the odd u^r
-kernel as its DST-I (its spectrum divided by -i).  Quadrature points with D
-below half the cell diagonal are skipped (hard desingularization of the
-self-cell).
+z.  D is symmetric in r <-> r', so the two theta' sums are taken on the pairs
+r <= r' only and unpacked into both triangles.  The even u^z kernel is stored
+as its real DCT-I spectrum, the odd u^r kernel as its DST-I (its spectrum
+divided by -i), both transformed in place.  Quadrature points with D below
+half the cell diagonal are skipped (hard desingularization of the self-cell).
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ import scipy.fft as sp_fft
 
 from .grid import GridSpec, ScalarField, VelocityField
 
-# elements per block of z-shifts in the table build; every operation is
-# elementwise, so the value only trades cache reuse against loop overhead
-_BLOCK_ELEMS = 1 << 16
+# packed (r <= r') elements per block of z-shifts in the table build; every
+# operation is elementwise, so the value only trades cache reuse against loop
+# overhead
+_BLOCK_ELEMS = 1 << 15
 
 
 @dataclass
@@ -59,21 +61,30 @@ def _spectral_velocity_kernels(grid: GridSpec, kt: KernelTable):
     r, dz, n_r, n_z = grid.r, grid.dz, grid.n_r, grid.n_z
     delta = 0.5 * np.hypot(grid.dr, dz)
     rt, rs = r[:, None], r[None, :]    # target, source radius
+    # D is symmetric in r <-> r': sum the quadrature on the pairs i <= j only,
+    # with every term symmetric bit for bit, and unpack (i, j) and (j, i)
+    # from the same packed entry
+    pi, pj = np.triu_indices(n_r)
+    packed = np.empty((n_r, n_r), dtype=np.intp)
+    packed[pi, pj] = packed[pj, pi] = np.arange(len(pi))
+    ri, rj = r[pi], r[pj]
+    rr = ri * ri + rj * rj
     # nodes k and n-1-k share cos(theta'): sum half of them at the pair weight
     half = kt.n_theta // 2
     cos_th = np.cos(kt.theta[:half])
     w_pair = kt.weights[:half] + kt.weights[::-1][:half]
-    cross = (2.0 * cos_th)[:, None, None] * rt * rs
+    cross = (2.0 * cos_th)[:, None] * (ri * rj)
     # fold the source measure r' dr dz and the 1/4pi prefactor into the tables
     src_w = (grid.dr * dz / (4.0 * np.pi)) * r
 
     # leading axis: z-shift Delta = j_target - j_source in 0..n_z-1; negative
     # shifts follow from parity (u^r kernel odd in z-z', u^z kernel even)
     k_r, k_z = np.zeros((2, n_z + 1, n_r, n_r))
-    step = max(1, _BLOCK_ELEMS // (n_r * n_r))
+    step = max(1, _BLOCK_ELEMS // len(pi))
     for a in range(0, n_z, step):
-        dzs = (np.arange(a, min(a + step, n_z)) * dz)[:, None, None]
-        base = rt * rt + rs * rs + dzs * dzs
+        b = min(a + step, n_z)
+        dzs = (np.arange(a, b) * dz)[:, None]
+        base = rr + dzs * dzs
         s_c, s_1, d2, d, term = np.zeros((5,) + base.shape)
         near = a * dz < delta    # D >= |z-z'|: far shifts never meet the cut-off
         for cross_k, c, w in zip(cross, cos_th, w_pair):
@@ -85,14 +96,26 @@ def _spectral_velocity_kernels(grid: GridSpec, kt: KernelTable):
             s_1 += term
             s_c += np.multiply(term, c, out=term)
         # u = (1/4pi) int omega x (X-X') / D^3: the orientation for which
-        # curl(u) reproduces omega^theta = dz u^r - dr u^z
-        k_r[a:a + len(dzs)] = dzs * s_c * src_w
-        k_z[a:a + len(dzs)] = (rs * s_1 - rt * s_c) * src_w
+        # curl(u) reproduces omega^theta = dz u^r - dr u^z.
+        # k_r = dz S_c src_w, k_z = (r' S_1 - r S_c) src_w; the indices are
+        # in range, and mode="clip" skips take's buffered bounds check
+        kr, kz = k_r[a:b], k_z[a:b]
+        np.take(s_c, packed, axis=1, out=kr, mode="clip")
+        np.take(s_1, packed, axis=1, out=kz, mode="clip")
+        np.multiply(kz, rs, out=kz)
+        np.subtract(kz, np.multiply(rt, kr), out=kz)
+        np.multiply(kz, src_w, out=kz)
+        np.multiply(kr, dzs[:, :, None], out=kr)
+        np.multiply(kr, src_w, out=kr)
 
     # spectra of the length-2n_z circular embeddings: the even one of k_z is
-    # DCT-I(k_z, 0); the odd one of k_r is -i DST-I(k_r[1:n_z]), zero at 0 and n_z
-    k_z[:] = sp_fft.dct(k_z, type=1, axis=0)
-    k_r[1:n_z] = sp_fft.dst(k_r[1:n_z], type=1, axis=0)
+    # DCT-I(k_z, 0); the odd one of k_r is -i DST-I(k_r[1:n_z]), zero at 0 and
+    # n_z.  Both run in place; copy back only if scipy did not (assigning a
+    # view to itself would copy it through a transient)
+    k_z = sp_fft.dct(k_z, type=1, axis=0, overwrite_x=True)
+    spec = sp_fft.dst(k_r[1:n_z], type=1, axis=0, overwrite_x=True)
+    if not np.may_share_memory(spec, k_r):
+        k_r[1:n_z] = spec
     k_r[0] = 0.0
     kt._cache[grid] = (k_r, k_z)
     return k_r, k_z

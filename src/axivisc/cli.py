@@ -98,7 +98,11 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_check(args) -> int:
     csv_path = os.path.join(args.out, "diagnostics.csv")
     with open(csv_path, "r", encoding="utf-8") as fh:
-        records = diagnostics.parse_csv(fh.read())
+        text = fh.read()
+    try:
+        records = diagnostics.parse_csv(text)
+    except ValueError as exc:
+        raise ValueError(f"{csv_path}: {exc}") from exc
     failed = False
 
     # replay the final CSV row from its snapshot and the running integrals in

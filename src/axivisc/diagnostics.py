@@ -250,23 +250,6 @@ def sqrt_t_check(records: list[DiagnosticsRecord],
                        f"first {first:.3g}")
 
 
-def hardy_check(omega: ScalarField) -> dict[float, CheckResult]:
-    """||omega/r||_p / ||dr omega||_p for p in {6/5, 3/2}; report only."""
-    g = omega.grid
-    over_r = ScalarField(g, omega.values / g.r[:, None], "derived")
-    dro = ddr(omega)
-    out = {}
-    for p in (6 / 5, 3 / 2):
-        num = norms.lebesgue_norm(over_r, p)
-        den = norms.lebesgue_norm(dro, p)
-        if den == 0.0:
-            flag = "degenerate" if num > 0 else "zero field"
-            out[p] = CheckResult(f"hardy_p{p:g}", None, 0.0, flag)
-        else:
-            out[p] = CheckResult(f"hardy_p{p:g}", None, num / den)
-    return out
-
-
 def lemma_lp_check(f: ScalarField, p: float, direction: str) -> CheckResult:
     """||d_i f||_p <= (2/p) ||d_i |f|^{p/2}||_2 ||f||_p^{(2-p)/2}, 5% slack."""
     if not (1 < p <= 2):
@@ -304,13 +287,19 @@ def format_csv(records: list[DiagnosticsRecord]) -> str:
 
 
 def parse_csv(text: str) -> list[DiagnosticsRecord]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split(",")
-    if header != CSV_COLUMNS:
+    """Records of a diagnostics CSV; ValueError if it has no rows or a row
+    with the wrong number of fields (naming the line)."""
+    rows = [(num, ln.split(",")) for num, ln in enumerate(text.splitlines(), 1)
+            if ln.strip()]
+    if not rows or rows[0][1] != CSV_COLUMNS:
         raise ValueError("CSV header does not match the diagnostics schema")
+    if len(rows) == 1:
+        raise ValueError("CSV has a header but no rows")
     out = []
-    for ln in lines[1:]:
-        vals = ln.split(",")
+    for num, vals in rows[1:]:
+        if len(vals) != len(CSV_COLUMNS):
+            raise ValueError(f"CSV line {num} has {len(vals)} fields, "
+                             f"expected {len(CSV_COLUMNS)}")
         kwargs = {c: (int(v) if c == "step_index" else float(v))
                   for c, v in zip(CSV_COLUMNS, vals)}
         out.append(DiagnosticsRecord(**kwargs))

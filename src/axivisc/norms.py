@@ -76,20 +76,21 @@ def lorentz_norm(f: ScalarField | RearrangementProfile, idx) -> float:
     if p == INF:
         return lebesgue_norm(f, INF) if isinstance(f, ScalarField) else float(f.values[0])
     prof = rearrange(f) if isinstance(f, ScalarField) else f
+    # v = |f|* is non-negative and non-increasing: its nonzero entries are a
+    # positive prefix
     v = prof.values
-    t = prof.cumulative
-    nz = v > 0
-    if not nz.any():
+    n = np.count_nonzero(v)
+    if n == 0:
         return 0.0
-    v = v[nz]
-    t_hi = t[nz]
-    t_lo = np.concatenate(([0.0], t[:-1]))[nz]
+    v = v[:n]
+    t_hi = prof.cumulative[:n]
     if q == INF:
         # sup of t^{1/p} f*(t) on each interval sits at the right endpoint
         return float(np.max(t_hi ** (1.0 / p) * v))
-    # each interval contributes v^q * (p/q) * (t_hi^{q/p} - t_lo^{q/p})
-    e = q / p
-    contrib = v ** q * (p / q) * (t_hi ** e - t_lo ** e)
+    # each interval contributes v^q * (p/q) * (t_hi^{q/p} - t_lo^{q/p}), and
+    # t_lo is t_hi shifted by one with t_lo[0] = 0
+    t_e = t_hi ** (q / p)
+    contrib = v ** q * (p / q) * np.diff(t_e, prepend=0.0)
     return float(np.sum(contrib) ** (1.0 / q))
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,7 +138,8 @@ class TestSpectralTable:
     # on the 8x64 grid dr = 4 dz, so the cut-off D < delta reaches the
     # shifts 0..2; one shift per block puts them in separate blocks
     @pytest.mark.parametrize("n_r,n_z,n_theta,block", [
-        (12, 24, 16, None), (12, 24, 32, None), (8, 64, 16, 1)])
+        (12, 24, 16, None), (12, 24, 32, None), (8, 64, 16, 1),
+        (11, 24, 16, None)])
     def test_matches_naive_reference(self, n_r, n_z, n_theta, block,
                                      monkeypatch):
         if block is not None:
@@ -157,6 +160,19 @@ class TestSpectralTable:
         for other in tables[1:]:
             for a, b in zip(tables[0], other):
                 np.testing.assert_array_equal(a, b)
+
+    def test_build_peak_memory_near_table_bytes(self):
+        # quadrature blocks are small and the DCT/DST run in place, so the
+        # build holds little beyond the table itself (a copied spectrum
+        # would add half the table)
+        g = make_grid(2.0, -2.0, 2.0, 96, 192)
+        tracemalloc.start()
+        try:
+            tables = biot_savart._spectral_velocity_kernels(g, KernelTable(16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * sum(t.nbytes for t in tables)
 
     def test_tables_are_real_frequency_first(self):
         g, omega = bumpy_omega(12, 24)

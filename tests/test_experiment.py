@@ -327,6 +327,31 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("damage", ["header_only", "short_row", "long_row"])
+    def test_check_on_malformed_csv_exit_2(self, tmp_path, capsys, damage):
+        cfg_file = tmp_path / "cfg.txt"
+        out = str(tmp_path / "out")
+        cfg_file.write_text(tiny_config_text(out))
+        assert cli.main(["run", "--config", str(cfg_file)]) == 0
+        capsys.readouterr()
+        csv_path = os.path.join(out, "diagnostics.csv")
+        with open(csv_path) as fh:
+            lines = fh.read().splitlines()
+        if damage == "header_only":
+            lines = lines[:1]
+        else:
+            cols = lines[-1].split(",")
+            lines[-1] = ",".join(cols[:-3] if damage == "short_row"
+                                 else cols + ["0.0"])
+        with open(csv_path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        assert cli.main(["check", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert "replay: PASS" not in captured.out
+        assert captured.err.startswith("error: " + csv_path)
+        if damage != "header_only":
+            assert f"line {len(lines)} has" in captured.err
+
     def test_missing_run_dir_exit_2(self, tmp_path, capsys):
         assert cli.main(["check", "--out", str(tmp_path / "nope")]) == 2
 

@@ -1,144 +1,202 @@
 """Velocity reconstruction from the azimuthal vorticity.
 
-The 3-D Biot-Savart law reduces, for axisymmetric swirl-free fields, to
-explicit (r, r', theta', z-z') kernels:
+For axisymmetric swirl-free flow the Stokes stream function psi closes
+omega^theta -> u (H. Lamb, Hydrodynamics).  Written as phi = psi/r^2,
+which is even and smooth at the axis, it solves
 
-    u^r(r,z) = -(1/4pi) int cos(th') (z-z') / D^3  w(r',z') r' dr' dth' dz'
-    u^z(r,z) =  (1/4pi) int (r cos(th') - r') / D^3 w(r',z') r' dr' dth' dz'
-    D^2 = r^2 + r'^2 - 2 r r' cos(th') + (z-z')^2
+    L phi = r^-3 d_r(r^3 d_r phi) + d_zz phi = -q,    q = omega/r,
+    u^r = -r d_z phi,    u^z = 2 phi + r d_r phi,
 
-The theta' integral is a trapezoid rule on the periodic circle (spectrally
-accurate), with the mirror nodes theta' and 2pi-theta' (equal cosines) summed
-as one.  The kernels depend on z and z' only through z-z' on a uniform grid,
-so the quadrature is precomputed, in fixed-size blocks of z-shifts, into a
-(z-shift, r, r') table, and the sum over sources is a circular convolution in
-z.  D is symmetric in r <-> r', so the two theta' sums are taken on the pairs
-r <= r' only and unpacked into both triangles.  The even u^z kernel is stored
-as its real DCT-I spectrum, the odd u^r kernel as its DST-I (its spectrum
-divided by -i), both transformed in place.  Quadrature points with D below
-half the cell diagonal are skipped (hard desingularization of the self-cell).
+in free space.  On the grid, the radial flux is discretised conservatively
+with the cell weights V_i = (r_{i+1/2}^4 - r_{i-1/2}^4)/4; the axis face
+carries no flux, and the faces r = r_max, z = z_min, z_max take a Dirichlet
+value g through the half-cell ghost 2g - phi.  A DST-II diagonalises the z
+part, with eigenvalues -(4/dz^2) sin^2(pi k / 2n_z), and the radial part,
+symmetrised with V^(1/2), is eigendecomposed once per grid; a solve is one
+DST-II, two n_r x n_r matmuls, one divide and one inverse DST-II.
+
+The free-space wall values come by the method of R. A. James (J. Comput.
+Phys. 25 (1977) 71) and K. Lackner (Comput. Phys. Commun. 12 (1976) 33):
+solve once with g = 0; the outward normal derivative at a wall face is
+-2 phi_0 / h, and Green's identity gives
+
+    g(x_b) = -sum_b' G_phi(x_b, x_b') d_n phi_0(x_b') r'^3 dS',
+    G_phi = G_psi / (r^2 r'^2),
+    G_psi = (sqrt(r r') / 2pi) [(2/k - k) K(k) - (2/k) E(k)],
+    k^2 = 4 r r' / ((r + r')^2 + (z - z')^2),
+
+with the self element replaced by its panel mean (r/2pi)(ln(16 r/h) - 1).
+The second solve, with g, differs from the first only by wall terms, a
+rank-3 update of the first solve's radial spectrum.  Centred differences,
+with the even axis ghost and the wall ghosts, then give the velocity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft as sp_fft
+from scipy.linalg import eigh_tridiagonal
+from scipy.special import ellipe, ellipk
 
 from .grid import GridSpec, ScalarField, VelocityField
 
-# packed (r <= r') elements per block of z-shifts in the table build; every
-# operation is elementwise, so the value only trades cache reuse against loop
-# overhead
-_BLOCK_ELEMS = 1 << 15
+# rows of the wall-to-wall Green's matrix evaluated at once; bounds the
+# elliptic-integral temporaries of the set-up, not a tuning knob
+_GREEN_ROWS = 128
 
 
 @dataclass
 class KernelTable:
-    """Theta'-quadrature rule plus a per-grid cache of spectral kernels."""
+    """Per-grid cache of stream-function solvers.
+
+    `n_theta` is kept, validated, written to `config.txt` and compared by
+    `run_experiment` for compatibility with older configurations, but it no
+    longer changes any output: the velocity comes from a stream-function
+    solve, which has no theta' quadrature.
+    """
 
     n_theta: int = 64
-    theta: np.ndarray = field(init=False)
-    weights: np.ndarray = field(init=False)
     _cache: dict = field(init=False, default_factory=dict)
 
     def __post_init__(self):
         if self.n_theta < 16 or self.n_theta % 2 != 0:
             raise ValueError(f"n_theta must be even and >= 16, got {self.n_theta}")
-        # midpoint-shifted uniform nodes: same spectral accuracy on the
-        # periodic circle, but no node sits on the near-field kernel peak
-        # at theta'=0, which keeps close source cells from being overweighted
-        self.theta = 2.0 * np.pi * (np.arange(self.n_theta) + 0.5) / self.n_theta
-        self.weights = np.full(self.n_theta, 2.0 * np.pi / self.n_theta)
 
 
-def _spectral_velocity_kernels(grid: GridSpec, kt: KernelTable):
-    """Real z-spectra of the u^r (over -i) and u^z kernels, each (n_z+1, n_r, n_r)."""
+class StreamSolver(NamedTuple):
+    """The per-grid arrays of the phi solve (all float64)."""
+
+    to_radial: np.ndarray     # (n_r, n_r): Q^T V^(1/2), r -> radial eigenbasis
+    from_radial: np.ndarray   # (n_r, n_r): V^(-1/2) Q, back to r
+    inv_eig: np.ndarray       # (n_r, n_z): 1 / (radial + vertical eigenvalue)
+    wall_modes: np.ndarray    # (2, n_z): DST-II of the unit vectors at j = 0, n_z-1
+    out_wall: np.ndarray      # (n_r,): to_radial of the r_max wall source per unit g
+    green: np.ndarray         # (N_b, N_b): phi_0 next to the walls -> wall values g
+
+
+def _dst(x, inverse=False):
+    """Orthonormal DST-II (or its inverse) along z; may overwrite x, so
+    every caller passes a temporary."""
+    f = sp_fft.idst if inverse else sp_fft.dst
+    return f(x, type=2, axis=-1, norm="ortho", overwrite_x=True)
+
+
+def _walls(grid: GridSpec):
+    """Wall faces z_min (n_r), z_max (n_r), r_max (n_z): position, panel
+    length and the half-cell distance to the node inside."""
+    n_r, n_z = grid.n_r, grid.n_z
+    rb = np.concatenate([grid.r, grid.r, np.full(n_z, grid.r_max)])
+    zb = np.concatenate([np.full(n_r, grid.z_min), np.full(n_r, grid.z_max), grid.z])
+    ds = np.concatenate([np.full(2 * n_r, grid.dr), np.full(n_z, grid.dz)])
+    h = np.concatenate([np.full(2 * n_r, grid.dz), np.full(n_z, grid.dr)])
+    return rb, zb, ds, h
+
+
+def _green_psi(r, z, rs, zs):
+    """Free-space Stokes stream function at (r, z) of a unit ring at (rs, zs)."""
+    m = 4.0 * r * rs / ((r + rs) ** 2 + (z - zs) ** 2)
+    k = np.sqrt(m)
+    return (np.sqrt(r * rs) / (2.0 * np.pi)) * (
+        (2.0 / k - k) * ellipk(m) - (2.0 / k) * ellipe(m))
+
+
+def _wall_green(grid: GridSpec) -> np.ndarray:
+    """Matrix taking the zero-data solve phi_0 at the nodes next to the walls
+    to the free-space wall values g."""
+    rb, zb, ds, h = _walls(grid)
+    # g = -sum G_phi d_n phi_0 r'^3 dS' with d_n phi_0 = -2 phi_0 / h and
+    # G_phi r'^3 = G_psi r' / r^2
+    col = rb * (2.0 * ds / h)
+    green = np.empty((len(rb), len(rb)))
+    for a in range(0, len(rb), _GREEN_ROWS):
+        b = min(a + _GREEN_ROWS, len(rb))
+        rows = slice(a, b)
+        blk = _green_psi(rb[rows, None], zb[rows, None], rb, zb)
+        i = np.arange(a, b)
+        blk[i - a, i] = (rb[i] / (2.0 * np.pi)) * (np.log(16.0 * rb[i] / ds[i]) - 1.0)
+        blk *= col
+        blk /= (rb[rows] ** 2)[:, None]
+        green[rows] = blk
+    return green
+
+
+def _stream_solver(grid: GridSpec, kt: KernelTable) -> StreamSolver:
+    """The grid's solver from the cache, set up on first use."""
     if grid in kt._cache:
         return kt._cache[grid]
-
-    r, dz, n_r, n_z = grid.r, grid.dz, grid.n_r, grid.n_z
-    delta = 0.5 * np.hypot(grid.dr, dz)
-    rt, rs = r[:, None], r[None, :]    # target, source radius
-    # D is symmetric in r <-> r': sum the quadrature on the pairs i <= j only,
-    # with every term symmetric bit for bit, and unpack (i, j) and (j, i)
-    # from the same packed entry
-    pi, pj = np.triu_indices(n_r)
-    packed = np.empty((n_r, n_r), dtype=np.intp)
-    packed[pi, pj] = packed[pj, pi] = np.arange(len(pi))
-    ri, rj = r[pi], r[pj]
-    rr = ri * ri + rj * rj
-    # nodes k and n-1-k share cos(theta'): sum half of them at the pair weight
-    half = kt.n_theta // 2
-    cos_th = np.cos(kt.theta[:half])
-    w_pair = kt.weights[:half] + kt.weights[::-1][:half]
-    cross = (2.0 * cos_th)[:, None] * (ri * rj)
-    # fold the source measure r' dr dz and the 1/4pi prefactor into the tables
-    src_w = (grid.dr * dz / (4.0 * np.pi)) * r
-
-    # leading axis: z-shift Delta = j_target - j_source in 0..n_z-1; negative
-    # shifts follow from parity (u^r kernel odd in z-z', u^z kernel even)
-    k_r, k_z = np.zeros((2, n_z + 1, n_r, n_r))
-    step = max(1, _BLOCK_ELEMS // len(pi))
-    for a in range(0, n_z, step):
-        b = min(a + step, n_z)
-        dzs = (np.arange(a, b) * dz)[:, None]
-        base = rr + dzs * dzs
-        s_c, s_1, d2, d, term = np.zeros((5,) + base.shape)
-        near = a * dz < delta    # D >= |z-z'|: far shifts never meet the cut-off
-        for cross_k, c, w in zip(cross, cos_th, w_pair):
-            np.subtract(base, cross_k, out=d2)
-            np.sqrt(d2, out=d)
-            np.divide(w, np.multiply(d2, d, out=d2), out=term)
-            if near:
-                term[d < delta] = 0.0
-            s_1 += term
-            s_c += np.multiply(term, c, out=term)
-        # u = (1/4pi) int omega x (X-X') / D^3: the orientation for which
-        # curl(u) reproduces omega^theta = dz u^r - dr u^z.
-        # k_r = dz S_c src_w, k_z = (r' S_1 - r S_c) src_w; the indices are
-        # in range, and mode="clip" skips take's buffered bounds check
-        kr, kz = k_r[a:b], k_z[a:b]
-        np.take(s_c, packed, axis=1, out=kr, mode="clip")
-        np.take(s_1, packed, axis=1, out=kz, mode="clip")
-        np.multiply(kz, rs, out=kz)
-        np.subtract(kz, np.multiply(rt, kr), out=kz)
-        np.multiply(kz, src_w, out=kz)
-        np.multiply(kr, dzs[:, :, None], out=kr)
-        np.multiply(kr, src_w, out=kr)
-
-    # spectra of the length-2n_z circular embeddings: the even one of k_z is
-    # DCT-I(k_z, 0); the odd one of k_r is -i DST-I(k_r[1:n_z]), zero at 0 and
-    # n_z.  Both run in place; copy back only if scipy did not (assigning a
-    # view to itself would copy it through a transient)
-    k_z = sp_fft.dct(k_z, type=1, axis=0, overwrite_x=True)
-    spec = sp_fft.dst(k_r[1:n_z], type=1, axis=0, overwrite_x=True)
-    if not np.may_share_memory(spec, k_r):
-        k_r[1:n_z] = spec
-    k_r[0] = 0.0
-    kt._cache[grid] = (k_r, k_z)
-    return k_r, k_z
+    dr, dz, n_r, n_z = grid.dr, grid.dz, grid.n_r, grid.n_z
+    faces = np.arange(n_r + 1) * dr
+    vol = np.diff(faces ** 4) / 4.0
+    flux = faces ** 3 / dr             # r^3 / dr at each face; 0 at the axis
+    diag = -(flux[:-1] + flux[1:])
+    diag[-1] -= flux[-1]               # wall ghost -phi doubles the r_max flux
+    sq = np.sqrt(vol)
+    eig_r, vec = eigh_tridiagonal(diag / vol, flux[1:-1] / (sq[:-1] * sq[1:]))
+    eig_z = -(4.0 / dz ** 2) * np.sin(np.pi * np.arange(1, n_z + 1) / (2 * n_z)) ** 2
+    ends = np.zeros((2, n_z))
+    ends[0, 0] = ends[1, -1] = 1.0
+    to_radial = np.ascontiguousarray(vec.T * sq)
+    solver = StreamSolver(
+        to_radial=to_radial,
+        from_radial=vec / sq[:, None],
+        inv_eig=1.0 / (eig_r[:, None] + eig_z),
+        wall_modes=_dst(ends),
+        # the ghost 2g - phi adds 2 flux g / V to the r_max row of L phi
+        out_wall=to_radial[:, -1] * (2.0 * flux[-1] / vol[-1]),
+        green=_wall_green(grid))
+    kt._cache[grid] = solver
+    return solver
 
 
-def _apply_spectral(spec: np.ndarray, vhat: np.ndarray, phase, n_z: int) -> np.ndarray:
-    """z-convolution: spec @ vhat per frequency, times phase, back to z."""
-    out_hat = phase * np.matmul(spec, vhat).view(np.complex128)[..., 0]
-    return np.fft.irfft(out_hat.T, n=2 * n_z, axis=1)[:, :n_z]
+def _stream_function(omega: ScalarField, kt: KernelTable):
+    """phi = psi/r^2 of omega^theta in free space, with its wall values
+    (g on z_min, g on z_max, each (n_r,); g on r_max, (n_z,))."""
+    g = omega.grid
+    s = _stream_solver(g, kt)
+    n_r, dz = g.n_r, g.dz
+    # zero wall data: L phi_0 = -q, spectrum w; only its wall trace is needed
+    w = s.to_radial @ _dst(-omega.values / g.r[:, None])
+    w *= s.inv_eig
+    trace = np.concatenate([(s.from_radial @ (w @ s.wall_modes.T)).T.ravel(),
+                            _dst(s.from_radial[-1] @ w, inverse=True)])
+    wall = s.green @ trace
+    g_lo, g_hi, g_out = wall[:n_r], wall[n_r:2 * n_r], wall[2 * n_r:]
+    # with data g the ghosts 2g - phi add 2g/dz^2 (z walls) and
+    # 2 r_max^3 g / (dr V) (r_max wall) to L phi; moved to the right-hand
+    # side, they change the spectrum w by a rank-3 update
+    src = np.empty((n_r, 3))
+    src[:, :2] = s.to_radial @ np.stack([g_lo, g_hi], axis=1) * (2.0 / dz ** 2)
+    src[:, 2] = s.out_wall
+    modes = np.vstack([s.wall_modes, _dst(g_out.copy())])
+    update = src @ modes
+    update *= s.inv_eig
+    w -= update
+    phi = _dst(s.from_radial @ w, inverse=True)
+    return phi, g_lo, g_hi, g_out
 
 
 def velocity_from_vorticity(omega: ScalarField, kt: KernelTable) -> VelocityField:
-    """Reconstruct (u^r, u^z) from omega^theta by kernel quadrature."""
+    """Reconstruct (u^r, u^z) from omega^theta through the stream function."""
     if omega.role != "omega_theta":
         raise ValueError(f"expected role omega_theta, got {omega.role!r}")
     omega.check_finite()
     g = omega.grid
-    spec_r, spec_z = _spectral_velocity_kernels(g, kt)
-    # rfft of the zero-padded columns as (Re, Im) pairs, frequency first
-    vhat = np.fft.rfft(omega.values, n=2 * g.n_z, axis=1).T.copy()
-    vhat = vhat.view(np.float64).reshape(g.n_z + 1, g.n_r, 2)
-    ur = _apply_spectral(spec_r, vhat, -1j, g.n_z)
-    uz = _apply_spectral(spec_z, vhat, 1.0, g.n_z)
+    phi, g_lo, g_hi, g_out = _stream_function(omega, kt)
+    # centred differences; the wall ghosts are 2g - phi, the axis ghost phi
+    ur = np.empty_like(phi)
+    np.subtract(phi[:, :-2], phi[:, 2:], out=ur[:, 1:-1])
+    ur[:, 0] = 2.0 * g_lo - phi[:, 0] - phi[:, 1]
+    ur[:, -1] = phi[:, -1] + phi[:, -2] - 2.0 * g_hi
+    ur *= g.r[:, None] / (2.0 * g.dz)
+    uz = np.empty_like(phi)
+    np.subtract(phi[2:], phi[:-2], out=uz[1:-1])
+    uz[0] = phi[1] - phi[0]
+    uz[-1] = 2.0 * g_out - phi[-1] - phi[-2]
+    uz *= g.r[:, None] / (2.0 * g.dr)
+    uz += 2.0 * phi
     return VelocityField(ScalarField(g, ur, "u_r"), ScalarField(g, uz, "u_z"))
 
 
@@ -146,4 +204,3 @@ def ur_over_r(u: VelocityField) -> ScalarField:
     """Pointwise u^r / r; well defined since all nodes are off-axis."""
     g = u.grid
     return ScalarField(g, u.u_r.values / g.r[:, None], "derived")
-

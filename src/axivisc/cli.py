@@ -34,7 +34,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("reconstruct", help="reconstruct velocity from a vorticity snapshot")
     pc.add_argument("--snapshot", required=True)
     pc.add_argument("--out", required=True)
-    pc.add_argument("--n-theta", type=int, default=64)
+    pc.add_argument("--n-theta", type=int, default=64,
+                    help="kept for older scripts; does not change the output")
 
     pk = sub.add_parser("check", help="replay all diagnostics on a run directory")
     pk.add_argument("--out", required=True, help="run directory")

@@ -4,7 +4,7 @@ The evolved unknown is q = omega/r, which satisfies pure transport plus
 vertical diffusion and therefore a discrete maximum principle: advection is
 semi-Lagrangian with clamped bilinear sampling (monotone), vertical diffusion
 is backward Euler (an M-matrix solve).  omega = r*q is derived and the
-velocity is closed through the Biot-Savart kernels each step.  A direct omega
+velocity is closed through the stream-function solve each step.  A direct omega
 scheme with the stretching term is kept as a cross-check, and an optional
 explicit horizontal viscosity eps_h regularizes the system.
 """
@@ -87,35 +87,37 @@ def initial_state(q0: ScalarField, config: SimConfig, kt: KernelTable) -> SimSta
 # ---------------------------------------------------------------------------
 # interpolation with role-aware axis reflection and zero outer extension
 
-def _sample(f: ScalarField, r_pts: np.ndarray, z_pts: np.ndarray,
-            clamp: bool) -> np.ndarray:
-    grid = f.grid
+def _sample(fields: tuple, r_pts: np.ndarray, z_pts: np.ndarray,
+            clamp: bool) -> list:
+    """Bilinear samples of each field at the points; the cell indices and
+    the four weights are computed once and shared by all fields."""
+    grid = fields[0].grid
     n_r, n_z = grid.n_r, grid.n_z
-    sign = np.where(r_pts < 0, -1.0, 1.0) if f.role in ODD_ROLES else 1.0
-    rr = np.abs(r_pts)
-
-    padded = np.zeros((n_r + 2, n_z + 2))
-    padded[1:-1, 1:-1] = f.values
-    padded[0, 1:-1] = axis_ghost(f)
-
-    pr = np.clip(rr / grid.dr + 0.5, 0.0, n_r + 1.0)
+    pr = np.clip(np.abs(r_pts) / grid.dr + 0.5, 0.0, n_r + 1.0)
     pz = np.clip((z_pts - grid.z_min) / grid.dz + 0.5, 0.0, n_z + 1.0)
     i0 = np.clip(np.floor(pr).astype(np.intp), 0, n_r)
     j0 = np.clip(np.floor(pz).astype(np.intp), 0, n_z)
     fr = pr - i0
     fz = pz - j0
+    # flat indices of the four corners in the padded (n_r+2, n_z+2) array
+    k00 = i0 * (n_z + 2) + j0
+    corners = (k00, k00 + (n_z + 2), k00 + 1, k00 + (n_z + 3))
+    w00, w10, w01, w11 = (1 - fr) * (1 - fz), fr * (1 - fz), (1 - fr) * fz, fr * fz
 
-    c00 = padded[i0, j0]
-    c10 = padded[i0 + 1, j0]
-    c01 = padded[i0, j0 + 1]
-    c11 = padded[i0 + 1, j0 + 1]
-    out = ((1 - fr) * (1 - fz) * c00 + fr * (1 - fz) * c10
-           + (1 - fr) * fz * c01 + fr * fz * c11)
-    if clamp:
-        lo = np.minimum(np.minimum(c00, c10), np.minimum(c01, c11))
-        hi = np.maximum(np.maximum(c00, c10), np.maximum(c01, c11))
-        out = np.clip(out, lo, hi)
-    return sign * out
+    out = []
+    for f in fields:
+        padded = np.zeros((n_r + 2, n_z + 2))
+        padded[1:-1, 1:-1] = f.values
+        padded[0, 1:-1] = axis_ghost(f)
+        c00, c10, c01, c11 = (padded.take(k) for k in corners)
+        val = w00 * c00 + w10 * c10 + w01 * c01 + w11 * c11
+        if clamp:
+            lo = np.minimum(np.minimum(c00, c10), np.minimum(c01, c11))
+            hi = np.maximum(np.maximum(c00, c10), np.maximum(c01, c11))
+            val = np.clip(val, lo, hi)
+        sign = np.where(r_pts < 0, -1.0, 1.0) if f.role in ODD_ROLES else 1.0
+        out.append(sign * val)
+    return out
 
 
 def _trace_feet(u: VelocityField, dt: float):
@@ -125,14 +127,13 @@ def _trace_feet(u: VelocityField, dt: float):
     Z = np.broadcast_to(g.z[None, :], (g.n_r, g.n_z))
     r_mid = R - 0.5 * dt * u.u_r.values
     z_mid = Z - 0.5 * dt * u.u_z.values
-    ur_m = _sample(u.u_r, r_mid, z_mid, clamp=False)
-    uz_m = _sample(u.u_z, r_mid, z_mid, clamp=False)
+    ur_m, uz_m = _sample((u.u_r, u.u_z), r_mid, z_mid, clamp=False)
     return R - dt * ur_m, Z - dt * uz_m
 
 
 def _advect(f: ScalarField, u: VelocityField, dt: float) -> np.ndarray:
     r_f, z_f = _trace_feet(u, dt)
-    return _sample(f, r_f, z_f, clamp=True)
+    return _sample((f,), r_f, z_f, clamp=True)[0]
 
 
 def _diffuse_z(values: np.ndarray, grid: GridSpec, dt: float) -> np.ndarray:

@@ -2,11 +2,13 @@
 
 The evolved unknown is q = omega/r, which satisfies pure transport plus
 vertical diffusion and therefore a discrete maximum principle: advection is
-semi-Lagrangian with clamped bilinear sampling (monotone), vertical diffusion
-is backward Euler (an M-matrix solve).  omega = r*q is derived and the
-velocity is closed through the stream-function solve each step.  A direct omega
-scheme with the stretching term is kept as a cross-check, and an optional
-explicit horizontal viscosity eps_h regularizes the system.
+semi-Lagrangian with clamped bilinear sampling (monotone), swept over the
+grid in blocks of whole r-rows so that its temporaries stay block-sized;
+vertical diffusion is backward Euler (an M-matrix solve).  omega = r*q is
+derived and the velocity is closed through the stream-function solve each
+step.  A direct omega scheme with the stretching term is kept as a
+cross-check, and an optional explicit horizontal viscosity eps_h regularizes
+the system.
 """
 
 from __future__ import annotations
@@ -87,11 +89,26 @@ def initial_state(q0: ScalarField, config: SimConfig, kt: KernelTable) -> SimSta
 # ---------------------------------------------------------------------------
 # interpolation with role-aware axis reflection and zero outer extension
 
-def _sample(fields: tuple, r_pts: np.ndarray, z_pts: np.ndarray,
-            clamp: bool) -> list:
-    """Bilinear samples of each field at the points; the cell indices and
-    the four weights are computed once and shared by all fields."""
-    grid = fields[0].grid
+# nodes per block of whole r-rows in the advection sweep (at least one row);
+# bounds its temporaries to block size instead of tens of field-sized
+# arrays, not a tuning knob
+_BLOCK_NODES = 4096
+
+
+def _source(f: ScalarField) -> tuple[np.ndarray, bool]:
+    """f padded with its axis ghost row and a zero outer ring, shape
+    (n_r+2, n_z+2), and whether its role is odd across the axis."""
+    g = f.grid
+    padded = np.zeros((g.n_r + 2, g.n_z + 2))
+    padded[1:-1, 1:-1] = f.values
+    padded[0, 1:-1] = axis_ghost(f)
+    return padded, f.role in ODD_ROLES
+
+
+def _sample(sources: tuple, grid: GridSpec, r_pts: np.ndarray,
+            z_pts: np.ndarray, clamp: bool) -> list:
+    """Bilinear samples of each _source at the points; the cell indices and
+    the four weights are computed once and shared by all sources."""
     n_r, n_z = grid.n_r, grid.n_z
     pr = np.clip(np.abs(r_pts) / grid.dr + 0.5, 0.0, n_r + 1.0)
     pz = np.clip((z_pts - grid.z_min) / grid.dz + 0.5, 0.0, n_z + 1.0)
@@ -105,35 +122,48 @@ def _sample(fields: tuple, r_pts: np.ndarray, z_pts: np.ndarray,
     w00, w10, w01, w11 = (1 - fr) * (1 - fz), fr * (1 - fz), (1 - fr) * fz, fr * fz
 
     out = []
-    for f in fields:
-        padded = np.zeros((n_r + 2, n_z + 2))
-        padded[1:-1, 1:-1] = f.values
-        padded[0, 1:-1] = axis_ghost(f)
+    for padded, odd in sources:
         c00, c10, c01, c11 = (padded.take(k) for k in corners)
         val = w00 * c00 + w10 * c10 + w01 * c01 + w11 * c11
         if clamp:
             lo = np.minimum(np.minimum(c00, c10), np.minimum(c01, c11))
             hi = np.maximum(np.maximum(c00, c10), np.maximum(c01, c11))
             val = np.clip(val, lo, hi)
-        sign = np.where(r_pts < 0, -1.0, 1.0) if f.role in ODD_ROLES else 1.0
-        out.append(sign * val)
+        out.append(np.where(r_pts < 0, -1.0, 1.0) * val if odd else val)
     return out
 
 
-def _trace_feet(u: VelocityField, dt: float):
-    """RK2 backward characteristic feet for every node."""
+def _trace_feet(u: VelocityField, sources: tuple, rows: slice, dt: float):
+    """RK2 backward characteristic feet of the nodes in `rows`; `sources`
+    are the _source of u_r and of u_z."""
     g = u.grid
-    R = np.broadcast_to(g.r[:, None], (g.n_r, g.n_z))
-    Z = np.broadcast_to(g.z[None, :], (g.n_r, g.n_z))
-    r_mid = R - 0.5 * dt * u.u_r.values
-    z_mid = Z - 0.5 * dt * u.u_z.values
-    ur_m, uz_m = _sample((u.u_r, u.u_z), r_mid, z_mid, clamp=False)
+    R = g.r[rows, None]
+    Z = g.z[None, :]
+    r_mid = R - 0.5 * dt * u.u_r.values[rows]
+    z_mid = Z - 0.5 * dt * u.u_z.values[rows]
+    ur_m, uz_m = _sample(sources, g, r_mid, z_mid, clamp=False)
     return R - dt * ur_m, Z - dt * uz_m
 
 
 def _advect(f: ScalarField, u: VelocityField, dt: float) -> np.ndarray:
-    r_f, z_f = _trace_feet(u, dt)
-    return _sample((f,), r_f, z_f, clamp=True)[0]
+    """Semi-Lagrangian transport of f by u over dt: clamped bilinear samples
+    at the RK2 feet.
+
+    The three padded sources are built once; the feet and the samples are
+    then computed block by block, each block about _BLOCK_NODES nodes of
+    whole r-rows, and written into one output.  Every node's arithmetic is
+    that of a whole-grid sweep, so the result does not depend on the block.
+    """
+    g = f.grid
+    vel = (_source(u.u_r), _source(u.u_z))
+    src = (_source(f),)
+    out = np.empty((g.n_r, g.n_z))
+    rows_per_block = max(1, _BLOCK_NODES // g.n_z)
+    for a in range(0, g.n_r, rows_per_block):
+        rows = slice(a, a + rows_per_block)
+        r_f, z_f = _trace_feet(u, vel, rows, dt)
+        out[rows] = _sample(src, g, r_f, z_f, clamp=True)[0]
+    return out
 
 
 def _diffuse_z(values: np.ndarray, grid: GridSpec, dt: float) -> np.ndarray:

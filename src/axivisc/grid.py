@@ -8,6 +8,7 @@ encoded as ghost-cell extension rules selected by a field's role tag.
 
 from __future__ import annotations
 
+import functools
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -49,9 +50,19 @@ class GridSpec:
         return self.z_min + (np.arange(self.n_z) + 0.5) * self.dz
 
     def cell_measure(self) -> np.ndarray:
-        """Cylindrical cell measure 2*pi*r*dr*dz, shape (n_r, n_z)."""
-        m = 2.0 * np.pi * self.r * self.dr * self.dz
-        return np.broadcast_to(m[:, None], (self.n_r, self.n_z)).copy()
+        """Cylindrical cell measure 2*pi*r*dr*dz, shape (n_r, n_z); a fresh,
+        writable copy."""
+        return shared_cell_measure(self).copy()
+
+
+@functools.lru_cache(maxsize=4)
+def shared_cell_measure(grid: GridSpec) -> np.ndarray:
+    """The cell measure of a grid, built once and read-only; the weighted
+    sums and the rearrangement share it."""
+    m = 2.0 * np.pi * grid.r * grid.dr * grid.dz
+    out = np.broadcast_to(m[:, None], (grid.n_r, grid.n_z)).copy()
+    out.flags.writeable = False
+    return out
 
 
 def make_grid(r_max: float, z_min: float, z_max: float,
@@ -143,10 +154,10 @@ def divergence(u: VelocityField) -> ScalarField:
 
 def cylindrical_integral(f: ScalarField) -> float:
     """Sum of f over cells weighted by 2*pi*r*dr*dz, fixed summation order."""
-    # weight by the full C-ordered cell_measure(), then sum the rows: velocity
-    # arrays are F-ordered (irfft(...).T), and a broadcast (n_r, 1) weight
-    # would change the product's layout and move its row sums by a few ulp
-    return float(np.sum((f.values * f.grid.cell_measure()).sum(axis=1)))
+    # weight by the full C-ordered measure, then sum the rows: the product is
+    # then C-ordered whatever the layout of f.values, so its row sums do not
+    # depend on how the caller's array is laid out
+    return float(np.sum((f.values * shared_cell_measure(f.grid)).sum(axis=1)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ScalarField, cylindrical_integral
+from .grid import ScalarField, cylindrical_integral, shared_cell_measure
 
 INF = math.inf
 
@@ -48,7 +48,7 @@ class RearrangementProfile:
 def rearrange(f: ScalarField) -> RearrangementProfile:
     """Decreasing rearrangement of |f| against the cylindrical cell measure."""
     vals = np.abs(f.values).ravel()
-    meas = f.grid.cell_measure().ravel()
+    meas = shared_cell_measure(f.grid).ravel()
     # stable sort on the negated values: ties keep grid order
     order = np.argsort(-vals, kind="stable")
     v = vals[order]

@@ -1,14 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from axivisc.biot_savart import KernelTable, velocity_from_vorticity
 from axivisc.diagnostics import format_csv
-from axivisc.evolution import (SimConfig, SimState, _advect, _diffuse_z,
-                               advance_omega_direct, cfl_dt, initial_state,
-                               run, step)
+from axivisc.evolution import (_BLOCK_NODES, SimConfig, SimState, _advect,
+                               _diffuse_z, advance_omega_direct, advance_q,
+                               cfl_dt, initial_state, run, step)
 from axivisc.experiment import run_checks
-from axivisc.grid import (ScalarField, VelocityField, cylindrical_integral,
-                          make_grid, zero_field)
+from axivisc.grid import (ODD_ROLES, ScalarField, VelocityField, axis_ghost,
+                          cylindrical_integral, make_grid, zero_field)
 
 
 def gaussian_q0(g, amp=1.0, r0=0.5, z0=0.0, sigma=0.15):
@@ -66,6 +68,99 @@ class TestCflDt:
                                     zero_field(g, "u_z")))
         with pytest.raises(ValueError):
             cfl_dt(st, cfg)
+
+
+def naive_sample(fields, r_pts, z_pts, clamp):
+    """Whole-grid bilinear sampling with role-aware axis reflection and a
+    zero outer ring: the reference for the blocked sweep of _advect."""
+    grid = fields[0].grid
+    n_r, n_z = grid.n_r, grid.n_z
+    pr = np.clip(np.abs(r_pts) / grid.dr + 0.5, 0.0, n_r + 1.0)
+    pz = np.clip((z_pts - grid.z_min) / grid.dz + 0.5, 0.0, n_z + 1.0)
+    i0 = np.clip(np.floor(pr).astype(np.intp), 0, n_r)
+    j0 = np.clip(np.floor(pz).astype(np.intp), 0, n_z)
+    fr = pr - i0
+    fz = pz - j0
+    k00 = i0 * (n_z + 2) + j0
+    corners = (k00, k00 + (n_z + 2), k00 + 1, k00 + (n_z + 3))
+    w00, w10, w01, w11 = (1 - fr) * (1 - fz), fr * (1 - fz), (1 - fr) * fz, fr * fz
+    out = []
+    for f in fields:
+        padded = np.zeros((n_r + 2, n_z + 2))
+        padded[1:-1, 1:-1] = f.values
+        padded[0, 1:-1] = axis_ghost(f)
+        c00, c10, c01, c11 = (padded.take(k) for k in corners)
+        val = w00 * c00 + w10 * c10 + w01 * c01 + w11 * c11
+        if clamp:
+            lo = np.minimum(np.minimum(c00, c10), np.minimum(c01, c11))
+            hi = np.maximum(np.maximum(c00, c10), np.maximum(c01, c11))
+            val = np.clip(val, lo, hi)
+        sign = np.where(r_pts < 0, -1.0, 1.0) if f.role in ODD_ROLES else 1.0
+        out.append(sign * val)
+    return out
+
+
+def naive_advect(f, u, dt):
+    """RK2 feet of every node at once, then one clamped sample of f."""
+    g = u.grid
+    R = np.broadcast_to(g.r[:, None], (g.n_r, g.n_z))
+    Z = np.broadcast_to(g.z[None, :], (g.n_r, g.n_z))
+    r_mid = R - 0.5 * dt * u.u_r.values
+    z_mid = Z - 0.5 * dt * u.u_z.values
+    ur_m, uz_m = naive_sample((u.u_r, u.u_z), r_mid, z_mid, clamp=False)
+    return naive_sample((f,), R - dt * ur_m, Z - dt * uz_m, clamp=True)[0]
+
+
+def random_velocity(g, rng, scale):
+    return VelocityField(
+        ScalarField(g, scale * rng.normal(size=(g.n_r, g.n_z)), "u_r"),
+        ScalarField(g, scale * rng.normal(size=(g.n_r, g.n_z)), "u_z"))
+
+
+class TestBlockedAdvection:
+    """_advect sweeps blocks of whole r-rows; each node's arithmetic is the
+    whole-grid sweep's, so the two agree bit for bit."""
+
+    @pytest.mark.parametrize("role", ["q_omega_over_r", "omega_theta"])
+    @pytest.mark.parametrize("n_r, n_z", [
+        (37, 200),                  # 20 rows per block, a partial last block
+        (5, _BLOCK_NODES + 3),      # one row per block
+    ])
+    def test_equals_whole_grid_sweep(self, role, n_r, n_z):
+        rng = np.random.default_rng(n_r)
+        g = make_grid(2.0, -2.0, 2.0, n_r, n_z)
+        rows_per_block = max(1, _BLOCK_NODES // n_z)
+        assert rows_per_block == 1 or n_r % rows_per_block != 0
+        f = ScalarField(g, rng.normal(size=(n_r, n_z)), role)
+        # feet cross the axis, the outer ring and the z walls
+        u = random_velocity(g, rng, 2.0 / 0.05)
+        out = _advect(f, u, 0.05)
+        np.testing.assert_array_equal(out, naive_advect(f, u, 0.05))
+        assert np.any(out != 0.0)
+
+    def test_equals_whole_grid_sweep_on_exact_shift(self, small):
+        # dt*u = dz lands every foot on a node
+        g, _ = small
+        q = gaussian_q0(g)
+        u = VelocityField(zero_field(g, "u_r"),
+                          ScalarField(g, np.ones((g.n_r, g.n_z)), "u_z"))
+        np.testing.assert_array_equal(_advect(q, u, g.dz),
+                                      naive_advect(q, u, g.dz))
+
+    def test_advance_q_working_set(self):
+        # the whole-grid sweep held about 28 field-sized arrays at once
+        g = make_grid(2.0, -2.0, 2.0, 192, 384)
+        rng = np.random.default_rng(3)
+        q = ScalarField(g, rng.random((g.n_r, g.n_z)), "q_omega_over_r")
+        u = random_velocity(g, rng, 1.0)
+        field_bytes = 8 * g.n_r * g.n_z
+        tracemalloc.start()
+        try:
+            advance_q(q, u, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * field_bytes
 
 
 class TestAdvection:

@@ -3,7 +3,8 @@ import pytest
 
 from axivisc.grid import (ScalarField, VelocityField, axis_ghost,
                           cylindrical_integral, ddr, ddz, divergence,
-                          load_field, make_grid, save_field, zero_field)
+                          load_field, make_grid, save_field,
+                          shared_cell_measure, zero_field)
 
 
 def field(g, fn, role="derived"):
@@ -21,6 +22,17 @@ class TestMakeGrid:
     def test_cell_measure(self):
         g = make_grid(2.0, 0.0, 1.0, 4, 4)
         assert g.cell_measure()[0, 0] == pytest.approx(2 * np.pi * 0.25 * 0.5 * 0.25)
+
+    def test_cell_measure_is_built_once_per_grid(self):
+        # the weighted sums share one read-only array; callers get a copy
+        g = make_grid(2.0, 0.0, 1.0, 4, 4)
+        shared = shared_cell_measure(g)
+        assert shared_cell_measure(make_grid(2.0, 0.0, 1.0, 4, 4)) is shared
+        assert not shared.flags.writeable
+        mine = g.cell_measure()
+        np.testing.assert_array_equal(mine, shared)
+        mine[0, 0] = -1.0
+        assert shared[0, 0] > 0.0
 
     @pytest.mark.parametrize("args", [
         (-1, 0, 1, 4, 4),

@@ -70,9 +70,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_norms(args) -> int:
-    f, t = load_field(args.snapshot)
     ps = args.p or [2.0]
     qs = args.q
+    if len(qs) > len(ps):
+        raise ValueError(f"{len(qs)} --q values but {len(ps)} --p; each --q "
+                         "pairs with the --p at its position")
+    f, t = load_field(args.snapshot)
     print(f"# snapshot role={f.role} t={t!r}")
     for i, p in enumerate(ps):
         if i < len(qs):

@@ -101,11 +101,11 @@ def compute_record(state, first: DiagnosticsRecord | None) -> DiagnosticsRecord:
     uror = ur_over_r(u)
 
     sup_q = float(np.max(np.abs(q.values)))
-    sup_u = float(np.sqrt(np.max(u.u_r.values ** 2 + u.u_z.values ** 2)))
+    speed_sq = u.u_r.values ** 2 + u.u_z.values ** 2
+    sup_u = float(np.sqrt(np.max(speed_sq)))
     sup_ur = float(np.max(np.abs(u.u_r.values)))
     sup_uror, dz_u_sq = state.integrands
-    kinetic = cylindrical_integral(
-        ScalarField(g, u.u_r.values ** 2 + u.u_z.values ** 2))
+    kinetic = cylindrical_integral(ScalarField(g, speed_sq))
 
     t = state.t
     int_uror = state.int_sup_ur_over_r
@@ -287,8 +287,8 @@ def format_csv(records: list[DiagnosticsRecord]) -> str:
 
 
 def parse_csv(text: str) -> list[DiagnosticsRecord]:
-    """Records of a diagnostics CSV; ValueError if it has no rows or a row
-    with the wrong number of fields (naming the line)."""
+    """Records of a diagnostics CSV; ValueError if it has no rows, or a row
+    with the wrong number of fields or a non-numeric one (naming the line)."""
     rows = [(num, ln.split(",")) for num, ln in enumerate(text.splitlines(), 1)
             if ln.strip()]
     if not rows or rows[0][1] != CSV_COLUMNS:
@@ -300,8 +300,11 @@ def parse_csv(text: str) -> list[DiagnosticsRecord]:
         if len(vals) != len(CSV_COLUMNS):
             raise ValueError(f"CSV line {num} has {len(vals)} fields, "
                              f"expected {len(CSV_COLUMNS)}")
-        kwargs = {c: (int(v) if c == "step_index" else float(v))
-                  for c, v in zip(CSV_COLUMNS, vals)}
+        try:
+            kwargs = {c: (int(v) if c == "step_index" else float(v))
+                      for c, v in zip(CSV_COLUMNS, vals)}
+        except ValueError as exc:
+            raise ValueError(f"CSV line {num} has a non-numeric field: {exc}") from exc
         out.append(DiagnosticsRecord(**kwargs))
     return out
 

@@ -9,6 +9,9 @@ derived and the velocity is closed through the stream-function solve each
 step.  A direct omega scheme with the stretching term is kept as a
 cross-check, and an optional explicit horizontal viscosity eps_h regularizes
 the system.
+
+`step` lands on a given time and advances the running time integrals, so
+every state it returns is complete; `run` schedules the landing times.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ DIFFUSION_LAMBDA = 1.0
 # SimState fields holding the running time integrals; a snapshot header
 # carries them so that a saved state can be diagnosed again
 RUNNING_INTEGRALS = ("int_sup_ur_over_r", "twice_int_dz_u_l2_sq")
+
+# a step that ends within this of its landing time lands on it exactly
+_EPS_T = 1e-12
 
 
 @dataclass
@@ -64,14 +70,14 @@ class SimState:
     q: ScalarField
     omega: ScalarField
     u: VelocityField
-    # running integrals of the integrands below, one trapezoid per step of run()
+    # running integrals of the integrands below, one trapezoid per step()
     int_sup_ur_over_r: float = 0.0
     twice_int_dz_u_l2_sq: float = 0.0
 
     @cached_property
     def integrands(self) -> tuple[float, float]:
         """(sup|u^r/r|, ||dz u||_{L^2}^2) of this state, computed once and
-        shared by the step loop and the diagnostics record."""
+        shared by the trapezoids of step() and the diagnostics record."""
         u = self.u
         sup_uror = float(np.max(np.abs(ur_over_r(u).values)))
         dz_u_sq = cylindrical_integral(
@@ -133,18 +139,6 @@ def _sample(sources: tuple, grid: GridSpec, r_pts: np.ndarray,
     return out
 
 
-def _trace_feet(u: VelocityField, sources: tuple, rows: slice, dt: float):
-    """RK2 backward characteristic feet of the nodes in `rows`; `sources`
-    are the _source of u_r and of u_z."""
-    g = u.grid
-    R = g.r[rows, None]
-    Z = g.z[None, :]
-    r_mid = R - 0.5 * dt * u.u_r.values[rows]
-    z_mid = Z - 0.5 * dt * u.u_z.values[rows]
-    ur_m, uz_m = _sample(sources, g, r_mid, z_mid, clamp=False)
-    return R - dt * ur_m, Z - dt * uz_m
-
-
 def _advect(f: ScalarField, u: VelocityField, dt: float) -> np.ndarray:
     """Semi-Lagrangian transport of f by u over dt: clamped bilinear samples
     at the RK2 feet.
@@ -161,8 +155,11 @@ def _advect(f: ScalarField, u: VelocityField, dt: float) -> np.ndarray:
     rows_per_block = max(1, _BLOCK_NODES // g.n_z)
     for a in range(0, g.n_r, rows_per_block):
         rows = slice(a, a + rows_per_block)
-        r_f, z_f = _trace_feet(u, vel, rows, dt)
-        out[rows] = _sample(src, g, r_f, z_f, clamp=True)[0]
+        R, Z = g.r[rows, None], g.z[None, :]
+        # RK2 backward characteristic: velocity at the midpoint, then the foot
+        ur_m, uz_m = _sample(vel, g, R - 0.5 * dt * u.u_r.values[rows],
+                             Z - 0.5 * dt * u.u_z.values[rows], clamp=False)
+        out[rows] = _sample(src, g, R - dt * ur_m, Z - dt * uz_m, clamp=True)[0]
     return out
 
 
@@ -197,10 +194,10 @@ def _horizontal_laplacian(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     return d2 + d1 / grid.r[:, None]
 
 
-def cfl_dt(state: SimState, config: SimConfig, t_cap: float | None = None) -> float:
+def cfl_dt(state: SimState, config: SimConfig) -> float:
     """Step size: dt_cfl_factor times the least of the advective CFL bounds,
     the diffusion accuracy cap DIFFUSION_LAMBDA * dz^2 and the stability bound
-    of the explicit eps_h term, then capped at t_cap."""
+    of the explicit eps_h term."""
     ur = state.u.u_r.values
     uz = state.u.u_z.values
     if not (np.all(np.isfinite(ur)) and np.all(np.isfinite(uz))):
@@ -215,12 +212,7 @@ def cfl_dt(state: SimState, config: SimConfig, t_cap: float | None = None) -> fl
         bounds.append(g.dz / max_uz)
     if config.eps_h > 0:
         bounds.append(0.25 * g.dr ** 2 / config.eps_h)
-    dt = config.dt_cfl_factor * min(bounds)
-    if t_cap is not None:
-        dt = min(dt, t_cap)
-    if dt <= 0:
-        raise ValueError("non-positive time step")
-    return dt
+    return config.dt_cfl_factor * min(bounds)
 
 
 def advance_q(q: ScalarField, u: VelocityField, dt: float,
@@ -253,17 +245,32 @@ def advance_omega_direct(omega: ScalarField, u: VelocityField, dt: float,
 
 
 def step(state: SimState, config: SimConfig, kt: KernelTable,
-         t_cap: float | None = None) -> SimState:
+         land_at: float | None = None) -> SimState:
+    """One complete step.  dt is cfl_dt capped at land_at - state.t (a
+    land_at not after state.t raises); a step ending within _EPS_T of land_at
+    lands on it exactly; both running integrals gain the step's trapezoid."""
     g = config.grid
-    dt = cfl_dt(state, config, t_cap)
+    dt = cfl_dt(state, config)
+    if land_at is not None:
+        dt = min(dt, land_at - state.t)
+    if not dt > 0:
+        raise ValueError(f"non-positive time step {dt!r} at t = {state.t!r}")
     if config.evolve_omega_direct:
         omega = advance_omega_direct(state.omega, state.u, dt, config.eps_h)
         q = ScalarField(g, omega.values / g.r[:, None], "q_omega_over_r")
     else:
         q = advance_q(state.q, state.u, dt, config.eps_h)
         omega = ScalarField(g, g.r[:, None] * q.values, "omega_theta")
-    u = velocity_from_vorticity(omega, kt)
-    return SimState(state.t + dt, state.step_index + 1, q, omega, u)
+    t = state.t + dt
+    if land_at is not None and abs(t - land_at) <= _EPS_T:
+        t = land_at
+    new = SimState(t, state.step_index + 1, q, omega,
+                   velocity_from_vorticity(omega, kt))
+    dt = t - state.t
+    (a0, b0), (a1, b1) = state.integrands, new.integrands
+    new.int_sup_ur_over_r = state.int_sup_ur_over_r + 0.5 * dt * (a0 + a1)
+    new.twice_int_dz_u_l2_sq = state.twice_int_dz_u_l2_sq + dt * (b0 + b1)
+    return new
 
 
 @dataclass
@@ -283,35 +290,25 @@ def run(config: SimConfig, q0: ScalarField, kt: KernelTable | None = None,
         snapshot_times: tuple = ()) -> RunResult:
     """Advance to t_end, collecting diagnostics at the configured cadence.
 
-    Every step adds its trapezoid to the state's running integrals, so the
-    record of a given step is the same whatever the cadence.
-    Snapshot times (and t_end) are hit exactly by capping the step.  The loop
-    is fully deterministic for a given config and initial field.
+    The steps land on each snapshot time and on t_end in turn; a record is
+    taken every `cadence` steps and on every landing.  step() carries the
+    running integrals, so the record of a given step is the same whatever
+    the cadence.  The loop is fully deterministic for a given config and
+    initial field.
     """
     if kt is None:
         kt = KernelTable(config.n_theta)
     state = initial_state(q0, config, kt)
-
-    targets = snapshot_targets(config.t_end, snapshot_times)
     records = [diagnostics.compute_record(state, first=None)]
     sup_q = [float(np.max(np.abs(state.q.values)))]
     snaps = {0.0: state}
-
-    eps_t = 1e-12
-    while state.t < config.t_end - eps_t:
-        next_target = next(s for s in targets if s > state.t + eps_t)
-        prev = state
-        state = step(prev, config, kt, t_cap=next_target - prev.t)
-        sup_q.append(float(np.max(np.abs(state.q.values))))
-        at_target = abs(state.t - next_target) <= eps_t
-        if at_target:
-            state.t = next_target
-        dt = state.t - prev.t
-        (a0, b0), (a1, b1) = prev.integrands, state.integrands
-        state.int_sup_ur_over_r = prev.int_sup_ur_over_r + 0.5 * dt * (a0 + a1)
-        state.twice_int_dz_u_l2_sq = prev.twice_int_dz_u_l2_sq + dt * (b0 + b1)
-        if state.step_index % config.cadence == 0 or at_target:
-            records.append(diagnostics.compute_record(state, first=records[0]))
-        if at_target:
-            snaps[next_target] = state
+    for target in snapshot_targets(config.t_end, snapshot_times):
+        while state.t < target - _EPS_T:
+            state = step(state, config, kt, land_at=target)
+            sup_q.append(float(np.max(np.abs(state.q.values))))
+            landed = state.t == target
+            if state.step_index % config.cadence == 0 or landed:
+                records.append(diagnostics.compute_record(state, first=records[0]))
+            if landed:
+                snaps[target] = state
     return RunResult(records, np.asarray(sup_q), snaps, state)

@@ -218,8 +218,12 @@ def load_state(run_dir: str, t: float, step_index: int,
     q, t_saved = load_field(q_path)
     omega, _ = load_field(omega_path)
     meta = load_header(omega_path, RUNNING_INTEGRALS)
+    try:
+        integrals = {k: float(meta[k]) for k in RUNNING_INTEGRALS}
+    except ValueError as exc:
+        raise ValueError(f"{omega_path}.hdr: {exc}") from exc
     return SimState(t_saved, step_index, q, omega, velocity_from_vorticity(omega, kt),
-                    **{k: float(meta[k]) for k in RUNNING_INTEGRALS})
+                    **integrals)
 
 
 def _check_snapshot_names(times: list):

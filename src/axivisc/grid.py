@@ -195,9 +195,14 @@ def load_header(path: str, keys: tuple) -> dict[str, str]:
 def load_field(path: str) -> tuple[ScalarField, float]:
     """Read a snapshot; a malformed one raises a ValueError naming its file."""
     meta = load_header(path, ("n_r", "n_z", "r_max", "z_min", "z_max", "role", "time"))
-    grid = make_grid(float(meta["r_max"]), float(meta["z_min"]),
-                     float(meta["z_max"]), int(meta["n_r"]), int(meta["n_z"]))
-    role, t = meta["role"], float(meta["time"])
+    try:
+        grid = make_grid(float(meta["r_max"]), float(meta["z_min"]),
+                         float(meta["z_max"]), int(meta["n_r"]), int(meta["n_z"]))
+        role, t = meta["role"], float(meta["time"])
+        if role not in ALL_ROLES:
+            raise ValueError(f"unknown role {role!r}")
+    except ValueError as exc:
+        raise ValueError(f"{path}.hdr: {exc}") from exc
     size = os.path.getsize(path + ".bin")
     if size != 8 * grid.n_r * grid.n_z:
         raise ValueError(f"{path}.bin: {size} bytes, expected 8 per value "

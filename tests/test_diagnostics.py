@@ -207,7 +207,7 @@ class TestComputeRecord:
         assert len(calls) == 5
 
     def test_trapezoid_running_integral(self, state):
-        # each record reads the state's integrals, which run() advances by
+        # each record reads the state's integrals, which step() advances by
         # one trapezoid per step
         res = run(SimConfig(state.q.grid, t_end=0.02, cadence=1), state.q,
                   KernelTable(32))

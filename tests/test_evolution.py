@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from axivisc.biot_savart import KernelTable, velocity_from_vorticity
-from axivisc.diagnostics import format_csv
+from axivisc.diagnostics import compute_record, format_csv
 from axivisc.evolution import (_BLOCK_NODES, SimConfig, SimState, _advect,
                                _diffuse_z, advance_omega_direct, advance_q,
-                               cfl_dt, initial_state, run, step)
+                               cfl_dt, initial_state, run, snapshot_targets,
+                               step)
 from axivisc.experiment import run_checks
 from axivisc.grid import (ODD_ROLES, ScalarField, VelocityField, axis_ghost,
                           cylindrical_integral, make_grid, zero_field)
@@ -50,12 +51,6 @@ class TestCflDt:
         st = initial_state(zero_field(g, "q_omega_over_r"), cfg, kt)
         assert cfl_dt(st, cfg) == pytest.approx(
             0.9 * min(g.dz ** 2, 0.25 * g.dr ** 2 / 10.0))
-
-    def test_cap(self, small):
-        g, kt = small
-        cfg = SimConfig(g)
-        st = initial_state(zero_field(g, "q_omega_over_r"), cfg, kt)
-        assert cfl_dt(st, cfg, t_cap=1e-6) == 1e-6
 
     def test_nonfinite_velocity_rejected(self, small):
         g, kt = small
@@ -263,6 +258,34 @@ class TestStep:
             st = step(st, cfg, kt)
         np.testing.assert_allclose(
             st.omega.values, g.r[:, None] * st.q.values, atol=1e-14)
+
+    def test_step_chain_reproduces_run(self, small):
+        # step() lands on its target and carries the running integrals, so a
+        # chain of steps, recorded every step, gives run()'s rows byte for byte
+        g, kt = small
+        cfg = SimConfig(g, t_end=0.02, cadence=1)
+        q0 = gaussian_q0(g)
+        st = initial_state(q0, cfg, kt)
+        rows = [compute_record(st, first=None)]
+        for target in snapshot_targets(0.02, (0.007,)):
+            while st.t < target:
+                st = step(st, cfg, kt, land_at=target)
+                rows.append(compute_record(st, first=rows[0]))
+            assert st.t == target
+        assert 0.007 in [r.t for r in rows]
+        assert rows[-1].int_sup_ur_over_r > 0.0
+        assert rows[-1].twice_int_dz_u_l2_sq > 0.0
+        assert rows[-1].sqrt_t_rho > 0.0
+        res = run(cfg, q0, kt, snapshot_times=(0.007,))
+        assert format_csv(rows) == format_csv(res.records)
+
+    @pytest.mark.parametrize("back", [0.0, 1e-3])
+    def test_land_at_not_ahead_rejected(self, small, back):
+        g, kt = small
+        cfg = SimConfig(g)
+        st = step(initial_state(gaussian_q0(g), cfg, kt), cfg, kt)
+        with pytest.raises(ValueError, match="non-positive time step"):
+            step(st, cfg, kt, land_at=st.t - back)
 
     @pytest.mark.parametrize("eps_h", [0.0, 1e-2])
     def test_schemes_agree_at_short_time(self, small, eps_h):

@@ -277,6 +277,31 @@ class TestCli:
         assert err.startswith("error: ")
         assert snap + (".hdr" if damage == "header" else ".bin") in err
 
+    @pytest.mark.parametrize("name, key, value", [
+        ("q", "n_r", "abc"),
+        ("q", "role", "bogus"),
+        ("q", "time", "x"),
+        ("omega", "int_sup_ur_over_r", "zz"),
+    ])
+    def test_check_on_malformed_header_exit_2(self, tmp_path, capsys,
+                                              name, key, value):
+        cfg_file = tmp_path / "cfg.txt"
+        out = str(tmp_path / "out")
+        cfg_file.write_text(tiny_config_text(out))
+        assert cli.main(["run", "--config", str(cfg_file)]) == 0
+        capsys.readouterr()
+        hdr = os.path.join(out, f"{name}_t0.004000.hdr")
+        with open(hdr) as fh:
+            lines = [f"{key}={value}\n" if ln.startswith(key + "=") else ln
+                     for ln in fh]
+        with open(hdr, "w") as fh:
+            fh.writelines(lines)
+        assert cli.main(["check", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert "replay: PASS" not in captured.out
+        assert captured.err.startswith("error: " + hdr + ": ")
+        assert repr(value) in captured.err
+
     @pytest.mark.parametrize("missing", ["config", "snapshot", "integral"])
     def test_check_without_replay_input_exit_2(self, tmp_path, capsys, missing):
         # a replay that cannot run must not be reported as a pass
@@ -327,7 +352,8 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("damage", ["header_only", "short_row", "long_row"])
+    @pytest.mark.parametrize("damage", ["header_only", "short_row", "long_row",
+                                        "non_numeric"])
     def test_check_on_malformed_csv_exit_2(self, tmp_path, capsys, damage):
         cfg_file = tmp_path / "cfg.txt"
         out = str(tmp_path / "out")
@@ -339,6 +365,10 @@ class TestCli:
             lines = fh.read().splitlines()
         if damage == "header_only":
             lines = lines[:1]
+        elif damage == "non_numeric":
+            cols = lines[-1].split(",")
+            cols[1] = "x2"      # step_index
+            lines[-1] = ",".join(cols)
         else:
             cols = lines[-1].split(",")
             lines[-1] = ",".join(cols[:-3] if damage == "short_row"
@@ -370,6 +400,21 @@ class TestCli:
         leb = norms.lebesgue_norm(f, 1.5)
         assert f"{lor:.17g}" in out_text
         assert f"{leb:.17g}" in out_text
+
+    def test_norms_rejects_more_q_than_p(self, tmp_path, capsys):
+        snap = str(tmp_path / "snap")
+        g = make_grid(2.0, -2.0, 2.0, 20, 40)
+        f = ScalarField(g, np.ones((20, 40)), "q_omega_over_r")
+        save_field(snap, f)
+        assert cli.main(["norms", "--snapshot", snap,
+                         "--p", "2", "--q", "1", "--q", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "lorentz" not in captured.out
+        # a lone --q pairs with the default p = 2
+        assert cli.main(["norms", "--snapshot", snap, "--q", "1"]) == 0
+        lor = norms.lorentz_norm(f, (2.0, 1.0))
+        assert f"lorentz p=2 q=1 {lor:.17g}" in capsys.readouterr().out
 
     def test_reconstruct_writes_velocity(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.txt"

@@ -50,20 +50,11 @@ _GREEN_ROWS = 128
 
 @dataclass
 class KernelTable:
-    """Per-grid cache of stream-function solvers.
-
-    `n_theta` is kept, validated, written to `config.txt` and compared by
-    `run_experiment` for compatibility with older configurations, but it no
-    longer changes any output: the velocity comes from a stream-function
-    solve, which has no theta' quadrature.
-    """
+    """Per-grid cache of stream-function solvers; `n_theta` is accepted from
+    older callers and configurations and read by nothing."""
 
     n_theta: int = 64
     _cache: dict = field(init=False, default_factory=dict)
-
-    def __post_init__(self):
-        if self.n_theta < 16 or self.n_theta % 2 != 0:
-            raise ValueError(f"n_theta must be even and >= 16, got {self.n_theta}")
 
 
 class StreamSolver(NamedTuple):

@@ -34,8 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("reconstruct", help="reconstruct velocity from a vorticity snapshot")
     pc.add_argument("--snapshot", required=True)
     pc.add_argument("--out", required=True)
-    pc.add_argument("--n-theta", type=int, default=64,
-                    help="kept for older scripts; does not change the output")
 
     pk = sub.add_parser("check", help="replay all diagnostics on a run directory")
     pk.add_argument("--out", required=True, help="run directory")
@@ -90,7 +88,7 @@ def _cmd_norms(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     omega, t = load_field(args.snapshot)
-    kt = KernelTable(args.n_theta)
+    kt = KernelTable()
     u = velocity_from_vorticity(omega, kt)
     os.makedirs(args.out, exist_ok=True)
     save_field(os.path.join(args.out, "u_r"), u.u_r, time=t)
@@ -111,11 +109,12 @@ def _cmd_check(args) -> int:
 
     # replay the final CSV row from its snapshot and the running integrals in
     # its header; must reproduce bit-exactly.  A missing config.txt, snapshot
-    # or header key raises naming the file: exit 2.
+    # or header key raises naming the file: exit 2.  config.txt is parsed
+    # only so that a run directory without a valid one is refused.
     with open(os.path.join(args.out, "config.txt"), "r", encoding="utf-8") as fh:
-        cfg = parse_config(fh.read())
+        parse_config(fh.read())
     final = records[-1]
-    state = load_state(args.out, final.t, final.step_index, KernelTable(cfg.n_theta))
+    state = load_state(args.out, final.t, final.step_index, KernelTable())
     first = records[0] if len(records) > 1 else None
     replay = diagnostics.compute_record(state, first=first)
     if diagnostics.format_csv([replay]) != diagnostics.format_csv([final]):

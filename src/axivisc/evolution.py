@@ -198,14 +198,13 @@ def cfl_dt(state: SimState, config: SimConfig) -> float:
     """Step size: dt_cfl_factor times the least of the advective CFL bounds,
     the diffusion accuracy cap DIFFUSION_LAMBDA * dz^2 and the stability bound
     of the explicit eps_h term."""
-    ur = state.u.u_r.values
-    uz = state.u.u_z.values
-    if not (np.all(np.isfinite(ur)) and np.all(np.isfinite(uz))):
+    # max|u| is NaN or inf exactly when the component is not finite
+    max_ur = np.max(np.abs(state.u.u_r.values))
+    max_uz = np.max(np.abs(state.u.u_z.values))
+    if not (np.isfinite(max_ur) and np.isfinite(max_uz)):
         raise ValueError("velocity field is not finite")
     g = config.grid
     bounds = [DIFFUSION_LAMBDA * g.dz ** 2]
-    max_ur = np.max(np.abs(ur))
-    max_uz = np.max(np.abs(uz))
     if max_ur > 0:
         bounds.append(g.dr / max_ur)
     if max_uz > 0:
@@ -245,14 +244,12 @@ def advance_omega_direct(omega: ScalarField, u: VelocityField, dt: float,
 
 
 def step(state: SimState, config: SimConfig, kt: KernelTable,
-         land_at: float | None = None) -> SimState:
+         land_at: float = np.inf) -> SimState:
     """One complete step.  dt is cfl_dt capped at land_at - state.t (a
     land_at not after state.t raises); a step ending within _EPS_T of land_at
     lands on it exactly; both running integrals gain the step's trapezoid."""
     g = config.grid
-    dt = cfl_dt(state, config)
-    if land_at is not None:
-        dt = min(dt, land_at - state.t)
+    dt = min(cfl_dt(state, config), land_at - state.t)
     if not dt > 0:
         raise ValueError(f"non-positive time step {dt!r} at t = {state.t!r}")
     if config.evolve_omega_direct:
@@ -262,7 +259,7 @@ def step(state: SimState, config: SimConfig, kt: KernelTable,
         q = advance_q(state.q, state.u, dt, config.eps_h)
         omega = ScalarField(g, g.r[:, None] * q.values, "omega_theta")
     t = state.t + dt
-    if land_at is not None and abs(t - land_at) <= _EPS_T:
+    if abs(t - land_at) <= _EPS_T:
         t = land_at
     new = SimState(t, state.step_index + 1, q, omega,
                    velocity_from_vorticity(omega, kt))
@@ -282,11 +279,16 @@ class RunResult:
 
 
 def snapshot_targets(t_end: float, snapshot_times: tuple) -> list[float]:
-    """Times the run lands on exactly: those in (0, t_end], plus t_end, sorted."""
-    return sorted(set(float(s) for s in snapshot_times if 0 < s <= t_end) | {t_end})
+    """Times the run lands on exactly: those in (0, t_end], plus t_end, sorted.
+    A target within _EPS_T of the one before it, or of 0, raises: run would skip it."""
+    targets = sorted(set(float(s) for s in snapshot_times if 0 < s <= t_end) | {t_end})
+    for prev, t in zip([0.0] + targets, targets):
+        if 0 < t - prev <= _EPS_T:
+            raise ValueError(f"landing times {prev!r} and {t!r} are within {_EPS_T:g}")
+    return targets
 
 
-def run(config: SimConfig, q0: ScalarField, kt: KernelTable | None = None,
+def run(config: SimConfig, q0: ScalarField, kt: KernelTable,
         snapshot_times: tuple = ()) -> RunResult:
     """Advance to t_end, collecting diagnostics at the configured cadence.
 
@@ -296,8 +298,6 @@ def run(config: SimConfig, q0: ScalarField, kt: KernelTable | None = None,
     the cadence.  The loop is fully deterministic for a given config and
     initial field.
     """
-    if kt is None:
-        kt = KernelTable(config.n_theta)
     state = initial_state(q0, config, kt)
     records = [diagnostics.compute_record(state, first=None)]
     sup_q = [float(np.max(np.abs(state.q.values)))]

@@ -179,9 +179,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     out = out_dir if out_dir is not None else cfg.out_dir
     _check_snapshot_names([0.0] + snapshot_targets(cfg.t_end, cfg.snapshot_times))
     if kt is None:
-        kt = KernelTable(cfg.n_theta)
-    elif kt.n_theta != cfg.n_theta:
-        raise ValueError(f"kernel table n_theta {kt.n_theta} != config {cfg.n_theta}")
+        kt = KernelTable()
     q0 = build_initial(cfg.initial, cfg.grid())
     sim = cfg.sim_config()
     os.makedirs(out, exist_ok=True)

@@ -21,17 +21,14 @@ def setup():
 
 
 class TestKernelTable:
-    @pytest.mark.parametrize("n", [8, 15, 17])
-    def test_rejects_bad_node_counts(self, n):
-        with pytest.raises(ValueError):
-            KernelTable(n)
-
     def test_n_theta_does_not_change_velocity(self, setup):
         _, _, omega = setup
         a = velocity_from_vorticity(omega, KernelTable(16))
-        b = velocity_from_vorticity(omega, KernelTable(128))
-        np.testing.assert_array_equal(a.u_r.values, b.u_r.values)
-        np.testing.assert_array_equal(a.u_z.values, b.u_z.values)
+        # 15 was refused while the count chose a theta' quadrature
+        for n in (15, 128):
+            b = velocity_from_vorticity(omega, KernelTable(n))
+            np.testing.assert_array_equal(a.u_r.values, b.u_r.values)
+            np.testing.assert_array_equal(a.u_z.values, b.u_z.values)
 
 
 class TestVelocityFromVorticity:

@@ -318,6 +318,14 @@ class TestRun:
         assert res.final_state.t == 0.02
         assert set(res.snapshots) == {0.0, 0.01, 0.02}
 
+    @pytest.mark.parametrize("times, near", [((0.01, 0.01 + 1e-13), "0.01 and"),
+                                             ((1e-13,), "0.0 and 1e-13")])
+    def test_landing_times_within_eps_rejected(self, small, times, near):
+        # the loop could not land on both times, so it would drop one
+        g, kt = small
+        with pytest.raises(ValueError, match=near):
+            run(SimConfig(g, t_end=0.02), gaussian_q0(g), kt, snapshot_times=times)
+
     def test_deterministic(self, small):
         g, kt = small
         cfg = SimConfig(g, t_end=0.01)

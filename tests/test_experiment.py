@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from axivisc import cli, norms
-from axivisc.biot_savart import KernelTable
 from axivisc.evolution import SimConfig
 from axivisc.experiment import (ExperimentConfig, InitialData, build_initial,
-                                format_config, parse_config, run_experiment,
+                                format_config, parse_config,
                                 support_margin_violation)
 from axivisc.grid import ScalarField, load_field, make_grid, save_field
 
@@ -340,7 +339,6 @@ class TestCli:
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("line, message", [
-        ("n_theta = 15", "n_theta must be even"),
         ("r0 = 1.9", "margin"),
     ])
     def test_rejected_run_exit_2_before_writing(self, tmp_path, capsys,
@@ -424,20 +422,9 @@ class TestCli:
         capsys.readouterr()
         vel = str(tmp_path / "vel")
         snap = os.path.join(out, "omega_t0.000000")
-        assert cli.main(["reconstruct", "--snapshot", snap, "--out", vel,
-                         "--n-theta", "16"]) == 0
+        assert cli.main(["reconstruct", "--snapshot", snap, "--out", vel]) == 0
         ur, t = load_field(os.path.join(vel, "u_r"))
         assert t == 0.0
         assert ur.role == "u_r"
         assert np.abs(ur.values).max() > 0
 
-
-class TestRunExperiment:
-    def test_kernel_table_must_match_n_theta(self, tmp_path):
-        # config.txt records cfg.n_theta, so a table of another count would
-        # run a different quadrature than the one the run directory names
-        out = str(tmp_path / "out")
-        cfg = ExperimentConfig(n_r=20, n_z=40, n_theta=64, t_end=0.004)
-        with pytest.raises(ValueError, match="n_theta"):
-            run_experiment(cfg, out_dir=out, kt=KernelTable(32))
-        assert not os.path.exists(out)

@@ -211,7 +211,8 @@ def snapshot_paths(run_dir: str, t: float) -> tuple[str, str]:
 def load_state(run_dir: str, t: float, step_index: int,
                kt: KernelTable) -> SimState:
     """The state a run saved at time t: its fields, the running integrals from
-    the omega header, and the velocity rebuilt from omega."""
+    the omega header, and the velocity rebuilt from omega.  A run saves only
+    the states it landed on, so the state has zero transport lag."""
     q_path, omega_path = snapshot_paths(run_dir, t)
     q, t_saved = load_field(q_path)
     omega, _ = load_field(omega_path)

@@ -56,11 +56,19 @@ class GridSpec:
 
 
 @functools.lru_cache(maxsize=4)
+def row_measure(grid: GridSpec) -> np.ndarray:
+    """The measure of one cell of each r-row, shape (n_r,), built once and
+    read-only; the rearrangement gathers from it."""
+    m = 2.0 * np.pi * grid.r * grid.dr * grid.dz
+    m.flags.writeable = False
+    return m
+
+
+@functools.lru_cache(maxsize=4)
 def shared_cell_measure(grid: GridSpec) -> np.ndarray:
     """The cell measure of a grid, built once and read-only; the weighted
-    sums and the rearrangement share it."""
-    m = 2.0 * np.pi * grid.r * grid.dr * grid.dz
-    out = np.broadcast_to(m[:, None], (grid.n_r, grid.n_z)).copy()
+    sums share it."""
+    out = np.broadcast_to(row_measure(grid)[:, None], (grid.n_r, grid.n_z)).copy()
     out.flags.writeable = False
     return out
 

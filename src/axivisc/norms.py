@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ScalarField, cylindrical_integral, shared_cell_measure
+from .grid import ScalarField, cylindrical_integral, row_measure
 
 INF = math.inf
 
@@ -48,11 +48,11 @@ class RearrangementProfile:
 def rearrange(f: ScalarField) -> RearrangementProfile:
     """Decreasing rearrangement of |f| against the cylindrical cell measure."""
     vals = np.abs(f.values).ravel()
-    meas = shared_cell_measure(f.grid).ravel()
     # stable sort on the negated values: ties keep grid order
     order = np.argsort(-vals, kind="stable")
     v = vals[order]
-    m = meas[order]
+    # the cells of an r-row share one measure; node k lies in row k // n_z
+    m = row_measure(f.grid)[order // f.grid.n_z]
     return RearrangementProfile(v, m, np.cumsum(m))
 
 

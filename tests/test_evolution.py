@@ -3,13 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from axivisc import evolution
 from axivisc.biot_savart import KernelTable, velocity_from_vorticity
 from axivisc.diagnostics import compute_record, format_csv
-from axivisc.evolution import (_BLOCK_NODES, SimConfig, SimState, _advect,
-                               _diffuse_z, advance_omega_direct, advance_q,
-                               cfl_dt, initial_state, run, snapshot_targets,
-                               step)
-from axivisc.experiment import run_checks
+from axivisc.evolution import (_BLOCK_NODES, MACRO_SUBSTEPS, SimConfig,
+                               SimState, _advect, _diffuse_z,
+                               advance_omega_direct, advance_q, cfl_dt,
+                               initial_state, run, snapshot_targets, step)
+from axivisc.experiment import ExperimentConfig, build_initial, run_checks
 from axivisc.grid import (ODD_ROLES, ScalarField, VelocityField, axis_ghost,
                           cylindrical_integral, make_grid, zero_field)
 
@@ -231,6 +232,36 @@ class TestDiffuseZ:
         np.testing.assert_allclose(out.sum(axis=1), vals.sum(axis=1), rtol=1e-12)
 
 
+class TestTransportInterval:
+    """advance_q and advance_omega_direct transport over `transport` (dt by
+    default, none at 0), then diffuse over dt."""
+
+    def test_advance_q(self, small):
+        g, kt = small
+        q = gaussian_q0(g)
+        u = velocity_from_vorticity(
+            ScalarField(g, g.r[:, None] * q.values, "omega_theta"), kt)
+        dt = 0.004
+        for transport, moved in ((None, _advect(q, u, dt)), (0.0, q.values),
+                                 (3 * dt, _advect(q, u, 3 * dt))):
+            np.testing.assert_array_equal(
+                advance_q(q, u, dt, transport=transport).values,
+                _diffuse_z(moved, g, dt))
+
+    def test_advance_omega_direct_stretches_over_the_transport(self, small):
+        g, kt = small
+        omega = ScalarField(g, g.r[:, None] * gaussian_q0(g).values, "omega_theta")
+        u = velocity_from_vorticity(omega, kt)
+        dt, tr = 0.004, 0.012
+        stretched = _advect(omega, u, tr) * np.exp(tr * u.u_r.values / g.r[:, None])
+        np.testing.assert_array_equal(
+            advance_omega_direct(omega, u, dt, transport=tr).values,
+            _diffuse_z(stretched, g, dt))
+        np.testing.assert_array_equal(
+            advance_omega_direct(omega, u, dt, transport=0.0).values,
+            _diffuse_z(omega.values, g, dt))
+
+
 class TestAdvanceOmegaDirect:
     def test_zero_velocity_is_pure_diffusion(self, small):
         g, _ = small
@@ -301,6 +332,85 @@ class TestStep:
         b = res_w.final_state.omega.values
         rel = np.sqrt(np.sum((a - b) ** 2) / np.sum(a ** 2))
         assert rel <= 1e-2
+
+
+def rel_l2(a, b):
+    return float(np.sqrt(np.sum((a - b) ** 2) / np.sum(b ** 2)))
+
+
+class TestMultirate:
+    """step() transports once per macro step of up to MACRO_SUBSTEPS
+    diffusion sub-steps, at its last sub-step or at a landing."""
+
+    # eps_h = 1 makes its stability bound the step cap, under half of dz^2
+    @pytest.mark.parametrize("eps_h", [0.0, 1.0])
+    def test_one_substep_is_plain_splitting(self, small, monkeypatch, eps_h):
+        # at M = 1 every step transports over its own dt, with the incoming
+        # velocity, before it diffuses: advance_q of the incoming state
+        monkeypatch.setattr(evolution, "MACRO_SUBSTEPS", 1)
+        g, kt = small
+        cfg = SimConfig(g, t_end=0.02, eps_h=eps_h)
+        st = initial_state(gaussian_q0(g), cfg, kt)
+        n = 0
+        for target in snapshot_targets(0.02, (0.007,)):
+            while st.t < target:
+                dt = min(cfl_dt(st, cfg), target - st.t)
+                new = step(st, cfg, kt, land_at=target)
+                np.testing.assert_array_equal(
+                    new.q.values, advance_q(st.q, st.u, dt, eps_h).values)
+                assert new.lag == 0.0
+                st, n = new, n + 1
+        assert st.t == 0.02 and n > 3
+
+    def test_splitting_error_small_against_refinement(self, monkeypatch):
+        # the error of transporting once per macro step, against M = 1, is
+        # under a tenth of the 48x96 -> 96x192 difference (2x2 cell means of
+        # the fine q) at the chosen M
+        def final_q(n_r, n_z):
+            cfg = ExperimentConfig(n_r=n_r, n_z=n_z, t_end=0.1)
+            res = run(cfg.sim_config(), build_initial(cfg.initial, cfg.grid()),
+                      KernelTable())
+            return res.final_state.q.values
+
+        coarse = final_q(48, 96)
+        fine = final_q(96, 192).reshape(48, 2, 96, 2).mean(axis=(1, 3))
+        monkeypatch.setattr(evolution, "MACRO_SUBSTEPS", 1)
+        plain = final_q(48, 96)
+        splitting, refinement = rel_l2(coarse, plain), rel_l2(coarse, fine)
+        assert 0.0 < splitting < 0.1 * refinement
+
+    def test_schemes_agree_through_a_macro_step(self):
+        # 96x192 ring to a landing past one whole macro step: the first
+        # MACRO_SUBSTEPS - 1 states lag, the next one transports, and the
+        # landing clears the lag in both schemes
+        cfg = ExperimentConfig()
+        g, kt = cfg.grid(), KernelTable()
+        q0 = build_initial(cfg.initial, g)
+        t_land = 1.5 * MACRO_SUBSTEPS * cfl_dt(initial_state(q0, SimConfig(g), kt),
+                                               SimConfig(g))
+        omegas = {}
+        for direct in (False, True):
+            sim = SimConfig(g, evolve_omega_direct=direct)
+            st = initial_state(q0, sim, kt)
+            lags = []
+            while st.t < t_land:
+                st = step(st, sim, kt, land_at=t_land)
+                lags.append(st.lag)
+            assert all(lag > 0.0 for lag in lags[:MACRO_SUBSTEPS - 1])
+            assert lags[MACRO_SUBSTEPS - 1] == 0.0
+            assert lags[MACRO_SUBSTEPS] > 0.0
+            assert st.t == t_land and lags[-1] == 0.0
+            omegas[direct] = st.omega.values
+        assert rel_l2(omegas[True], omegas[False]) <= 1e-2
+
+    @pytest.mark.parametrize("direct", [False, True])
+    def test_landed_states_do_not_lag(self, small, direct):
+        g, kt = small
+        cfg = SimConfig(g, t_end=0.03, evolve_omega_direct=direct)
+        res = run(cfg, gaussian_q0(g), kt, snapshot_times=(0.002, 0.02))
+        assert sorted(res.snapshots) == [0.0, 0.002, 0.02, 0.03]
+        for t, st in res.snapshots.items():
+            assert st.t == t and st.lag == 0.0
 
 
 class TestRun:

@@ -48,6 +48,16 @@ class TestRearrange:
         assert prof.cumulative[0] == pytest.approx(m[3, 3])
         assert prof.cumulative[1] == pytest.approx(m[3, 3] + m[0, 0])
 
+    def test_measures_are_the_sorted_cells_measures(self):
+        # gathered from the per-row vector, bit for bit the measure of each
+        # sorted node; n_r != n_z, so a wrong row index shows
+        g = make_grid(1.0, -1.0, 1.0, 6, 10)
+        f = random_field(g, np.random.default_rng(5))
+        order = np.argsort(-np.abs(f.values).ravel(), kind="stable")
+        prof = rearrange(f)
+        np.testing.assert_array_equal(prof.measures, g.cell_measure().ravel()[order])
+        np.testing.assert_array_equal(prof.cumulative, np.cumsum(prof.measures))
+
     @pytest.mark.parametrize("phi", [lambda t: t, lambda t: t ** 2,
                                      lambda t: t ** 1.5])
     def test_equimeasurability(self, grid16, phi):

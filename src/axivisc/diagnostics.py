@@ -87,6 +87,12 @@ def _ratio(num: float, den: float) -> float:
     return num / den
 
 
+def _lorentz_norms(f: ScalarField, *indices) -> list[float]:
+    """f's Lorentz norms at each index, all from one rearrangement (sort)."""
+    prof = norms.rearrange(f)
+    return [norms.lorentz_norm(prof, idx) for idx in indices]
+
+
 def compute_record(state, first: DiagnosticsRecord | None) -> DiagnosticsRecord:
     """All diagnostics at one instant: a pure function of the state, running
     integrals included, and of the initial record (None for the initial row)."""
@@ -94,34 +100,42 @@ def compute_record(state, first: DiagnosticsRecord | None) -> DiagnosticsRecord:
     omega = state.omega
     u = state.u
     g = q.grid
-
-    dz_omega = ddz(omega)
-    dz_q = ddz(q)
-    dr_omega = ddr(omega)
-    uror = ur_over_r(u)
-
-    sup_q = float(np.max(np.abs(q.values)))
-    speed_sq = u.u_r.values ** 2 + u.u_z.values ** 2
-    sup_u = float(np.sqrt(np.max(speed_sq)))
-    sup_ur = float(np.max(np.abs(u.u_r.values)))
-    sup_uror, dz_u_sq = state.integrands
-    kinetic = cylindrical_integral(ScalarField(g, speed_sq))
-
     t = state.t
     int_uror = state.int_sup_ur_over_r
     int_dzu2 = state.twice_int_dz_u_l2_sq
+    sup_uror, dz_u_sq = state.integrands
 
-    # one rearrangement (sort) per field, shared by its Lorentz norms
-    q_re, omega_re, dz_omega_re, dz_q_re, dr_omega_re = (
-        norms.rearrange(f) for f in (q, omega, dz_omega, dz_q, dr_omega))
+    # one field at a time: a field's |f|, derivative and rearrangement are
+    # dropped before the next field's are made, so the record holds the
+    # temporaries of one field only
+    abs_q = ScalarField(g, np.abs(q.values))
+    sup_q = float(abs_q.values.max())
+    q_l65, q_l32, q_l2 = (norms.lebesgue_norm(abs_q, p) for p in (6 / 5, 3 / 2, 2.0))
+    del abs_q
+    q_lor_32_1, q_lor_65_1, q_lor_2_2, q_lor_65_65 = _lorentz_norms(
+        q, (3 / 2, 1.0), (6 / 5, 1.0), (2.0, 2.0), (6 / 5, 6 / 5))
 
-    omega_l65 = norms.lebesgue_norm(omega, 6 / 5)
-    omega_l32 = norms.lebesgue_norm(omega, 3 / 2)
-    omega_l2 = norms.lebesgue_norm(omega, 2.0)
-    omega_lor_32_1 = norms.lorentz_norm(omega_re, (3 / 2, 1.0))
-    omega_lor_3_1 = norms.lorentz_norm(omega_re, (3.0, 1.0))
-    dz_omega_lor = norms.lorentz_norm(dz_omega_re, (3 / 2, 1.0))
-    dz_q_lor = norms.lorentz_norm(dz_q_re, (3 / 2, 1.0))
+    abs_omega = ScalarField(g, np.abs(omega.values))
+    omega_linf = float(abs_omega.values.max())
+    omega_l65, omega_l32, omega_l2 = (
+        norms.lebesgue_norm(abs_omega, p) for p in (6 / 5, 3 / 2, 2.0))
+    del abs_omega
+    omega_lor_32_1, omega_lor_3_1 = _lorentz_norms(omega, (3 / 2, 1.0), (3.0, 1.0))
+
+    dz_omega = ddz(omega)
+    dz_omega_l2 = norms.lebesgue_norm(dz_omega, 2.0)
+    dz_omega_lor, = _lorentz_norms(dz_omega, (3 / 2, 1.0))
+    del dz_omega
+    dz_q_lor, dz_q_43 = _lorentz_norms(ddz(q), (3 / 2, 1.0), (4 / 3, 1.0))
+    dr_omega_lor, = _lorentz_norms(ddr(omega), (3 / 2, 1.0))
+
+    speed_sq = u.u_r.values ** 2 + u.u_z.values ** 2
+    sup_u = float(np.sqrt(np.max(speed_sq)))
+    kinetic = cylindrical_integral(ScalarField(g, speed_sq))
+    del speed_sq
+    sup_ur = float(np.max(np.abs(u.u_r.values)))
+    # p = 4/3 in the anisotropic bound: inner exponent p/(3-2p) = 4
+    mixed = norms.mixed_norm(ur_over_r(u), INF, 4.0)
 
     energy_lhs = kinetic + int_dzu2
     grow = math.exp(int_uror)
@@ -135,28 +149,22 @@ def compute_record(state, first: DiagnosticsRecord | None) -> DiagnosticsRecord:
         glor = _ratio(omega_lor_32_1, first.omega_lorentz_32_1 * grow)
         rho = _ratio(int_uror, math.sqrt(t) * first.q_lorentz_32_1) if t > 0 else 0.0
 
-    # p = 4/3 in the anisotropic bound: inner exponent p/(3-2p) = 4
-    mixed = norms.mixed_norm(uror, INF, 4.0)
-    dz_q_43 = norms.lorentz_norm(dz_q_re, (4 / 3, 1.0))
-
     return DiagnosticsRecord(
         t=t, step_index=state.step_index,
         sup_q=sup_q,
-        q_l65=norms.lebesgue_norm(q, 6 / 5),
-        q_l32=norms.lebesgue_norm(q, 3 / 2),
-        q_l2=norms.lebesgue_norm(q, 2.0),
-        q_lorentz_32_1=norms.lorentz_norm(q_re, (3 / 2, 1.0)),
-        q_lorentz_65_1=norms.lorentz_norm(q_re, (6 / 5, 1.0)),
-        q_lorentz_2_2=norms.lorentz_norm(q_re, (2.0, 2.0)),
-        q_lorentz_65_65=norms.lorentz_norm(q_re, (6 / 5, 6 / 5)),
+        q_l65=q_l65, q_l32=q_l32, q_l2=q_l2,
+        q_lorentz_32_1=q_lor_32_1,
+        q_lorentz_65_1=q_lor_65_1,
+        q_lorentz_2_2=q_lor_2_2,
+        q_lorentz_65_65=q_lor_65_65,
         omega_l65=omega_l65, omega_l32=omega_l32, omega_l2=omega_l2,
-        omega_linf=norms.lebesgue_norm(omega, INF),
+        omega_linf=omega_linf,
         omega_lorentz_32_1=omega_lor_32_1,
         omega_lorentz_3_1=omega_lor_3_1,
-        dz_omega_l2=norms.lebesgue_norm(dz_omega, 2.0),
+        dz_omega_l2=dz_omega_l2,
         dz_omega_lorentz_32_1=dz_omega_lor,
         dz_q_lorentz_32_1=dz_q_lor,
-        dr_omega_lorentz_32_1=norms.lorentz_norm(dr_omega_re, (3 / 2, 1.0)),
+        dr_omega_lorentz_32_1=dr_omega_lor,
         sup_u=sup_u, sup_ur=sup_ur, sup_ur_over_r=sup_uror,
         int_sup_ur_over_r=int_uror,
         dz_u_l2_sq=dz_u_sq,

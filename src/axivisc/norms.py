@@ -4,10 +4,17 @@ Lorentz norms go through the decreasing rearrangement of |f| with respect to
 the cylindrical measure.  The discrete rearrangement is a step function, so
 every t-integral in the L^{p,q} definition is evaluated in closed form per
 constancy interval; in particular L^{p,p} coincides with L^p up to rounding.
+
+The rearrangement is defined as the stable sort of |f| in decreasing order
+(ties keep grid order).  `rearrange` builds it from two plain sorts of 64-bit
+keys instead of a stable argsort, and falls back to the stable argsort in the
+rare case where the plain sorts cannot be shown to give the same profile bit
+for bit (see its docstring).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,6 +23,9 @@ import numpy as np
 from .grid import ScalarField, cylindrical_integral, row_measure
 
 INF = math.inf
+
+# bit pattern of +inf: |f| has these bits or more exactly where it is inf or NaN
+_INF_BITS = np.float64(INF).view(np.uint64)
 
 
 @dataclass(frozen=True)
@@ -44,9 +54,75 @@ class RearrangementProfile:
     def total_measure(self) -> float:
         return float(self.cumulative[-1])
 
+    @functools.cached_property
+    def n_positive(self) -> int:
+        """Length of the positive prefix of values: the count of nonzero
+        entries, counted once and shared by every norm of the profile."""
+        return int(np.count_nonzero(self.values))
+
 
 def rearrange(f: ScalarField) -> RearrangementProfile:
-    """Decreasing rearrangement of |f| against the cylindrical cell measure."""
+    """Decreasing rearrangement of |f| against the cylindrical cell measure.
+
+    The profile is that of the stable sort of |f| in decreasing order, ties in
+    grid order (`_rearrange_stable`).  It is built from two plain sorts:
+
+    - For non-negative doubles the uint64 bit pattern orders like the value,
+      so one plain sort of the complemented bits c = ~bits(|f|) gives the
+      values, exactly and in decreasing order.
+    - The measures need only the row of each sorted node.  With
+      k = (n_r - 1).bit_length() low bits cleared, c leaves room for the row:
+      a plain sort of the keys (c with its low k bits cleared) | row orders the
+      nodes by the high bits of c, then by row.
+
+    Both orders list the nodes in the same runs of equal high bits, in the
+    same order, so they agree on the row sequence wherever a run holds one
+    distinct value (exact ties: the stable order takes them in grid order,
+    which is row order) or one distinct row (the z-mirror near-ties of a
+    symmetric field).  A run that holds two distinct values and two distinct
+    rows may differ, and so may a non-finite |f|; both are detected, and the
+    profile then comes from the stable argsort.
+    """
+    g = f.grid
+    c = np.abs(f.values).view(np.uint64)
+    np.invert(c, out=c)
+    low = np.uint64((1 << (g.n_r - 1).bit_length()) - 1)
+    keys = c & ~low
+    keys |= np.arange(g.n_r, dtype=np.uint64)[:, None]
+    c = c.reshape(-1)
+    keys = keys.reshape(-1)
+    c.sort()
+    keys.sort()
+    # c[0] is the complement of the largest bit pattern of |f|
+    if ~c[0] >= _INF_BITS or _mixed_run(c, keys, low):
+        return _rearrange_stable(f)
+    keys &= low
+    m = row_measure(g)[keys.view(np.int64)]
+    np.invert(c, out=c)
+    return RearrangementProfile(c.view(np.float64), m, np.cumsum(m))
+
+
+def _mixed_run(c: np.ndarray, keys: np.ndarray, low: np.uint64) -> bool:
+    """Whether some run of equal high bits holds two distinct values (a
+    change inside the run in the sorted c) and two distinct rows (a change
+    inside the run in the sorted keys)."""
+    # runs with two rows are rare (exact ties across rows), so test them first
+    rowed = _changing_runs(keys, low)
+    return rowed.size > 0 and bool(np.isin(rowed, _changing_runs(c, low)).any())
+
+
+def _changing_runs(s: np.ndarray, low: np.uint64) -> np.ndarray:
+    """The high bits of the sorted s at each change inside a run of equal
+    high bits, in sorted order."""
+    # neighbours differ in the low bits only where 0 < xor <= low, that is
+    # where xor - 1 (wrapping 0 to the top) is below low
+    x = s[1:] ^ s[:-1]
+    x -= np.uint64(1)
+    return s[np.flatnonzero(x < low)] & ~low
+
+
+def _rearrange_stable(f: ScalarField) -> RearrangementProfile:
+    """The defining rearrangement: a stable argsort of -|f|."""
     vals = np.abs(f.values).ravel()
     # stable sort on the negated values: ties keep grid order
     order = np.argsort(-vals, kind="stable")
@@ -57,7 +133,7 @@ def rearrange(f: ScalarField) -> RearrangementProfile:
 
 
 def lebesgue_norm(f: ScalarField, p: float) -> float:
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"need p >= 1, got {p}")
     a = np.abs(f.values)
     if p == INF:
@@ -78,20 +154,22 @@ def lorentz_norm(f: ScalarField | RearrangementProfile, idx) -> float:
     prof = rearrange(f) if isinstance(f, ScalarField) else f
     # v = |f|* is non-negative and non-increasing: its nonzero entries are a
     # positive prefix
-    v = prof.values
-    n = np.count_nonzero(v)
+    n = prof.n_positive
     if n == 0:
         return 0.0
-    v = v[:n]
+    v = prof.values[:n]
     t_hi = prof.cumulative[:n]
     if q == INF:
         # sup of t^{1/p} f*(t) on each interval sits at the right endpoint
         return float(np.max(t_hi ** (1.0 / p) * v))
     # each interval contributes v^q * (p/q) * (t_hi^{q/p} - t_lo^{q/p}), and
-    # t_lo is t_hi shifted by one with t_lo[0] = 0
+    # t_lo is t_hi shifted by one with t_lo[0] = 0; built in one buffer
     t_e = t_hi ** (q / p)
-    contrib = v ** q * (p / q) * np.diff(t_e, prepend=0.0)
-    return float(np.sum(contrib) ** (1.0 / q))
+    w = v ** q
+    w *= p / q
+    w[0] *= t_e[0]
+    w[1:] *= t_e[1:] - t_e[:-1]
+    return float(np.sum(w) ** (1.0 / q))
 
 
 def mixed_norm(f: ScalarField, p_h: float, p_v: float) -> float:
@@ -100,7 +178,7 @@ def mixed_norm(f: ScalarField, p_h: float, p_v: float) -> float:
     The vertical measure is plain dz; the horizontal measure for finite p_h
     is the cylindrical weight 2*pi*r*dr.
     """
-    if p_h < 1 or p_v < 1:
+    if not (p_h >= 1 and p_v >= 1):
         raise ValueError(f"need exponents >= 1, got ({p_h}, {p_v})")
     g = f.grid
     a = np.abs(f.values)

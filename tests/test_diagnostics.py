@@ -1,16 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from axivisc.biot_savart import KernelTable
+from axivisc import norms
+from axivisc.biot_savart import KernelTable, ur_over_r
 from axivisc.diagnostics import (CSV_COLUMNS, CheckResult, DiagnosticsRecord,
-                                 compute_record, dr_omega_monitor,
+                                 _ratio, compute_record, dr_omega_monitor,
                                  energy_check, format_csv, growth_check,
                                  lemma_lp_check,
                                  max_principle_check, parse_csv, sqrt_t_check)
-from axivisc.evolution import SimConfig, initial_state, run
-from axivisc.grid import ScalarField, make_grid
+from axivisc.evolution import SimConfig, initial_state, run, step
+from axivisc.experiment import InitialData, build_initial
+from axivisc.grid import ScalarField, cylindrical_integral, ddr, ddz, make_grid
 
 
 def synthetic_record(**overrides):
@@ -219,6 +222,137 @@ class TestComputeRecord:
             assert b.twice_int_dz_u_l2_sq == a.twice_int_dz_u_l2_sq + dt * (
                 a.dz_u_l2_sq + b.dz_u_l2_sq)
             assert b.energy_lhs == b.kinetic_energy + b.twice_int_dz_u_l2_sq
+
+
+def stable_profile(f):
+    """The defining rearrangement: a stable argsort of -|f|."""
+    vals = np.abs(f.values).ravel()
+    order = np.argsort(-vals, kind="stable")
+    m = f.grid.cell_measure().ravel()[order]
+    return norms.RearrangementProfile(vals[order], m, np.cumsum(m))
+
+
+def reference_record(state, first):
+    """The record with every norm taken by its own library call on the whole
+    field, and the Lorentz norms over the stable-argsort rearrangement."""
+    q, omega, u = state.q, state.omega, state.u
+    g = q.grid
+    dz_omega, dz_q, dr_omega = ddz(omega), ddz(q), ddr(omega)
+    speed_sq = u.u_r.values ** 2 + u.u_z.values ** 2
+    sup_uror, dz_u_sq = state.integrands
+    kinetic = cylindrical_integral(ScalarField(g, speed_sq))
+    int_uror = state.int_sup_ur_over_r
+    int_dzu2 = state.twice_int_dz_u_l2_sq
+    q_re, omega_re, dz_omega_re, dz_q_re, dr_omega_re = (
+        stable_profile(f) for f in (q, omega, dz_omega, dz_q, dr_omega))
+    rec = dict(
+        t=state.t, step_index=state.step_index,
+        sup_q=float(np.max(np.abs(q.values))),
+        q_l65=norms.lebesgue_norm(q, 6 / 5),
+        q_l32=norms.lebesgue_norm(q, 3 / 2),
+        q_l2=norms.lebesgue_norm(q, 2.0),
+        q_lorentz_32_1=norms.lorentz_norm(q_re, (3 / 2, 1.0)),
+        q_lorentz_65_1=norms.lorentz_norm(q_re, (6 / 5, 1.0)),
+        q_lorentz_2_2=norms.lorentz_norm(q_re, (2.0, 2.0)),
+        q_lorentz_65_65=norms.lorentz_norm(q_re, (6 / 5, 6 / 5)),
+        omega_l65=norms.lebesgue_norm(omega, 6 / 5),
+        omega_l32=norms.lebesgue_norm(omega, 3 / 2),
+        omega_l2=norms.lebesgue_norm(omega, 2.0),
+        omega_linf=norms.lebesgue_norm(omega, math.inf),
+        omega_lorentz_32_1=norms.lorentz_norm(omega_re, (3 / 2, 1.0)),
+        omega_lorentz_3_1=norms.lorentz_norm(omega_re, (3.0, 1.0)),
+        dz_omega_l2=norms.lebesgue_norm(dz_omega, 2.0),
+        dz_omega_lorentz_32_1=norms.lorentz_norm(dz_omega_re, (3 / 2, 1.0)),
+        dz_q_lorentz_32_1=norms.lorentz_norm(dz_q_re, (3 / 2, 1.0)),
+        dr_omega_lorentz_32_1=norms.lorentz_norm(dr_omega_re, (3 / 2, 1.0)),
+        sup_u=float(np.sqrt(np.max(speed_sq))),
+        sup_ur=float(np.max(np.abs(u.u_r.values))),
+        sup_ur_over_r=sup_uror, int_sup_ur_over_r=int_uror,
+        dz_u_l2_sq=dz_u_sq, twice_int_dz_u_l2_sq=int_dzu2,
+        kinetic_energy=kinetic, energy_lhs=kinetic + int_dzu2)
+    grow = math.exp(int_uror)
+    if first is None:
+        rec.update(growth_ratio_l65=0.0, growth_ratio_l32=0.0,
+                   growth_ratio_l2=0.0, growth_ratio_lorentz_32_1=0.0,
+                   sqrt_t_rho=0.0)
+    else:
+        rec.update(
+            growth_ratio_l65=_ratio(rec["omega_l65"], first.omega_l65 * grow),
+            growth_ratio_l32=_ratio(rec["omega_l32"], first.omega_l32 * grow),
+            growth_ratio_l2=_ratio(rec["omega_l2"], first.omega_l2 * grow),
+            growth_ratio_lorentz_32_1=_ratio(rec["omega_lorentz_32_1"],
+                                             first.omega_lorentz_32_1 * grow),
+            sqrt_t_rho=(_ratio(int_uror, math.sqrt(state.t) * first.q_lorentz_32_1)
+                        if state.t > 0 else 0.0))
+    mixed = norms.mixed_norm(ur_over_r(u), math.inf, 4.0)
+    rec.update(
+        biot_u_ratio=_ratio(rec["sup_u"], rec["omega_lorentz_3_1"]),
+        biot_ur_ratio=_ratio(rec["sup_ur"], rec["dz_omega_lorentz_32_1"]),
+        biot_ur_over_r_ratio=_ratio(sup_uror, rec["dz_q_lorentz_32_1"]),
+        biot_mixed_ratio=_ratio(mixed, norms.lorentz_norm(dz_q_re, (4 / 3, 1.0))))
+    return DiagnosticsRecord(**rec)
+
+
+def states_48x96():
+    """(initial, later) state pairs on a 48x96 grid: a signed ring pair
+    lagging inside a macro step and landed, a Yudovich patch at t = 0 and
+    after a few steps, and the direct omega scheme with eps_h."""
+    g = make_grid(2.0, -2.0, 2.0, 48, 96)
+    kt = KernelTable(16)
+    out = []
+    for init, cfg, n_steps, land in (
+            (InitialData(kind="ring_pair", separation=0.25, r0=0.47),
+             SimConfig(g), 3, None),
+            (InitialData(kind="ring_pair", separation=0.25, r0=0.47),
+             SimConfig(g), 0, 0.004),
+            (InitialData(kind="yudovich_patch"), SimConfig(g), 0, None),
+            (InitialData(kind="yudovich_patch"), SimConfig(g), 5, None),
+            (InitialData(), SimConfig(g, eps_h=0.01, evolve_omega_direct=True),
+             0, 0.004)):
+        st0 = st = initial_state(build_initial(init, g), cfg, kt)
+        for _ in range(n_steps):
+            st = step(st, cfg, kt)
+        while land is not None and st.t < land:
+            st = step(st, cfg, kt, land_at=land)
+        out.append((st0, st))
+    return out
+
+
+@pytest.fixture(scope="module")
+def state_pairs():
+    return states_48x96()
+
+
+class TestRecordMatchesReference:
+
+    def test_states_cover_lag_and_landing(self, state_pairs):
+        assert state_pairs[0][1].lag > 0.0
+        assert state_pairs[1][1].lag == 0.0 and state_pairs[1][1].t == 0.004
+        assert state_pairs[2][1].t == 0.0
+        assert state_pairs[4][1].t == 0.004
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_equals_reference_record(self, state_pairs, k):
+        st0, st = state_pairs[k]
+        first = reference_record(st0, None)
+        assert compute_record(st0, None) == first
+        assert compute_record(st, first) == reference_record(st, first)
+
+    def test_working_set(self):
+        # one field's temporaries at a time; the record held 24 field sizes
+        # when every field's derivative and rearrangement lived at once
+        g = make_grid(2.0, -2.0, 2.0, 96, 192)
+        init = InitialData(kind="ring_pair", separation=0.25, r0=0.47)
+        st = initial_state(build_initial(init, g), SimConfig(g), KernelTable(16))
+        st.integrands
+        field_bytes = 8 * g.n_r * g.n_z
+        tracemalloc.start()
+        try:
+            compute_record(st, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * field_bytes
 
 
 class TestCsv:

@@ -414,6 +414,17 @@ class TestCli:
         lor = norms.lorentz_norm(f, (2.0, 1.0))
         assert f"lorentz p=2 q=1 {lor:.17g}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("args", [["--p", "nan"], ["--p", "nan", "--q", "1"],
+                                      ["--p", "2", "--q", "nan"]])
+    def test_norms_rejects_nan_exponent(self, tmp_path, capsys, args):
+        snap = str(tmp_path / "snap")
+        g = make_grid(2.0, -2.0, 2.0, 20, 40)
+        save_field(snap, ScalarField(g, np.ones((20, 40)), "q_omega_over_r"))
+        assert cli.main(["norms", "--snapshot", snap] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "nan" not in captured.out
+
     def test_reconstruct_writes_velocity(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.txt"
         out = str(tmp_path / "out")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from axivisc import norms
 from axivisc.grid import ScalarField, cylindrical_integral, make_grid
 from axivisc.norms import (INF, LorentzIndex, lebesgue_norm, lorentz_norm,
                            mixed_norm, rearrange)
@@ -58,6 +59,30 @@ class TestRearrange:
         np.testing.assert_array_equal(prof.measures, g.cell_measure().ravel()[order])
         np.testing.assert_array_equal(prof.cumulative, np.cumsum(prof.measures))
 
+    @pytest.mark.parametrize("n_r", [16, 17])
+    @pytest.mark.parametrize("case,fallback", [
+        ("ties", False), ("zeros", False), ("all_zero", False),
+        ("ulp_same_row", False), ("ulp_lower_row_larger", True),
+        ("ulp_higher_row_larger", True), ("nan", True), ("inf", True)])
+    @pytest.mark.parametrize("ulps", [1, 8])
+    def test_equals_stable_argsort_bit_for_bit(self, monkeypatch, n_r, case,
+                                               fallback, ulps):
+        # 16 rows fit the 4 low bits of the sort keys, 17 need 5
+        g = make_grid(1.0, -1.0, 1.0, n_r, 12)
+        f = adversarial_field(g, case, ulps)
+        calls = []
+        stable = norms._rearrange_stable
+        monkeypatch.setattr(norms, "_rearrange_stable",
+                            lambda f: calls.append(f) or stable(f))
+        prof = rearrange(f)
+        assert bool(calls) == fallback
+        vals = np.abs(f.values).ravel()
+        order = np.argsort(-vals, kind="stable")
+        m = g.cell_measure().ravel()[order]
+        np.testing.assert_array_equal(prof.values, vals[order])
+        np.testing.assert_array_equal(prof.measures, m)
+        np.testing.assert_array_equal(prof.cumulative, np.cumsum(m))
+
     @pytest.mark.parametrize("phi", [lambda t: t, lambda t: t ** 2,
                                      lambda t: t ** 1.5])
     def test_equimeasurability(self, grid16, phi):
@@ -67,6 +92,35 @@ class TestRearrange:
         via_profile = float(np.sum(phi(prof.values) * prof.measures))
         direct = cylindrical_integral(ScalarField(grid16, phi(np.abs(f.values))))
         assert via_profile == pytest.approx(direct, rel=1e-12)
+
+
+def adversarial_field(g, case, ulps):
+    """A field whose rearrangement tests the plain-sort shortcut."""
+    rng = np.random.default_rng(g.n_r)
+    shape = (g.n_r, g.n_z)
+    if case == "ties":
+        # exact ties within rows and across rows, the last row included
+        return ScalarField(g, rng.integers(-3, 4, size=shape).astype(float))
+    if case == "all_zero":
+        return ScalarField(g, np.zeros(shape))
+    vals = rng.uniform(0.5, 4.0, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+    if case == "zeros":
+        vals[rng.random(shape) < 0.5] = 0.0
+    elif case == "nan":
+        vals[g.n_r // 2, 3] = np.nan
+    elif case == "inf":
+        vals[1, 2] = -np.inf
+        vals[g.n_r - 1, 0] = np.inf
+    else:
+        # 5.0 has its low mantissa bits clear, so 5.0 and 5.0 + ulps ulp lie
+        # in one run of equal high bits of the sort keys
+        x = np.float64(5.0)
+        y = (x.view(np.uint64) + np.uint64(ulps)).view(np.float64)
+        lo, hi = {"ulp_same_row": ((2, 3), (2, 7)),
+                  "ulp_lower_row_larger": ((g.n_r - 1, 3), (2, 7)),
+                  "ulp_higher_row_larger": ((2, 3), (g.n_r - 1, 7))}[case]
+        vals[lo], vals[hi] = x, -y
+    return ScalarField(g, vals)
 
 
 class TestLebesgueNorm:
@@ -93,8 +147,10 @@ class TestLebesgueNorm:
                     abs(c) * lebesgue_norm(f, p), rel=1e-12)
 
     def test_rejects_small_p(self, grid16):
-        with pytest.raises(ValueError):
-            lebesgue_norm(ScalarField(grid16, np.ones((16, 16))), 0.5)
+        f = ScalarField(grid16, np.ones((16, 16)))
+        for p in (0.5, math.nan):
+            with pytest.raises(ValueError):
+                lebesgue_norm(f, p)
 
 
 class TestLorentzNorm:
@@ -214,5 +270,6 @@ class TestMixedNorm:
 
     def test_rejects_bad_exponents(self, grid16):
         f = ScalarField(grid16, np.ones((16, 16)))
-        with pytest.raises(ValueError):
-            mixed_norm(f, 0.5, 2.0)
+        for p_h, p_v in ((0.5, 2.0), (math.nan, 2.0), (2.0, math.nan)):
+            with pytest.raises(ValueError):
+                mixed_norm(f, p_h, p_v)

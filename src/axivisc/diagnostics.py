@@ -87,10 +87,16 @@ def _ratio(num: float, den: float) -> float:
     return num / den
 
 
-def _lorentz_norms(f: ScalarField, *indices) -> list[float]:
-    """f's Lorentz norms at each index, all from one rearrangement (sort)."""
+def _field_norms(f: ScalarField, ps, indices) -> tuple[float, list, list]:
+    """sup|f|, the Lebesgue norms of f at each p in ps and its Lorentz norms
+    at each index, from one rearrangement (sort); f's temporaries die here.
+
+    sup|f| is f*(0), max|f| bit for bit for a finite f: the record reads it
+    for q and omega, and every state has a finite omega
+    (`velocity_from_vorticity` refuses any other), hence a finite q."""
+    leb = [norms.lebesgue_norm(f, p) for p in ps]
     prof = norms.rearrange(f)
-    return [norms.lorentz_norm(prof, idx) for idx in indices]
+    return float(prof.values[0]), leb, [norms.lorentz_norm(prof, idx) for idx in indices]
 
 
 def compute_record(state, first: DiagnosticsRecord | None) -> DiagnosticsRecord:
@@ -105,37 +111,20 @@ def compute_record(state, first: DiagnosticsRecord | None) -> DiagnosticsRecord:
     int_dzu2 = state.twice_int_dz_u_l2_sq
     sup_uror, dz_u_sq = state.integrands
 
-    # one field at a time: a field's |f|, derivative and rearrangement are
-    # dropped before the next field's are made, so the record holds the
-    # temporaries of one field only
-    abs_q = ScalarField(g, np.abs(q.values))
-    sup_q = float(abs_q.values.max())
-    q_l65, q_l32, q_l2 = (norms.lebesgue_norm(abs_q, p) for p in (6 / 5, 3 / 2, 2.0))
-    del abs_q
-    q_lor_32_1, q_lor_65_1, q_lor_2_2, q_lor_65_65 = _lorentz_norms(
-        q, (3 / 2, 1.0), (6 / 5, 1.0), (2.0, 2.0), (6 / 5, 6 / 5))
+    sup_q, (q_l65, q_l32, q_l2), (q_lor_32_1, q_lor_65_1, q_lor_2_2, q_lor_65_65) = (
+        _field_norms(q, GROWTH_EXPONENTS, MONOTONE_LORENTZ))
+    omega_linf, (omega_l65, omega_l32, omega_l2), (omega_lor_32_1, omega_lor_3_1) = (
+        _field_norms(omega, GROWTH_EXPONENTS, ((3 / 2, 1.0), (3.0, 1.0))))
+    _, (dz_omega_l2,), (dz_omega_lor,) = _field_norms(ddz(omega), (2.0,), ((3 / 2, 1.0),))
+    _, _, (dz_q_lor, dz_q_43) = _field_norms(ddz(q), (), ((3 / 2, 1.0), (4 / 3, 1.0)))
+    _, _, (dr_omega_lor,) = _field_norms(ddr(omega), (), ((3 / 2, 1.0),))
 
-    abs_omega = ScalarField(g, np.abs(omega.values))
-    omega_linf = float(abs_omega.values.max())
-    omega_l65, omega_l32, omega_l2 = (
-        norms.lebesgue_norm(abs_omega, p) for p in (6 / 5, 3 / 2, 2.0))
-    del abs_omega
-    omega_lor_32_1, omega_lor_3_1 = _lorentz_norms(omega, (3 / 2, 1.0), (3.0, 1.0))
-
-    dz_omega = ddz(omega)
-    dz_omega_l2 = norms.lebesgue_norm(dz_omega, 2.0)
-    dz_omega_lor, = _lorentz_norms(dz_omega, (3 / 2, 1.0))
-    del dz_omega
-    dz_q_lor, dz_q_43 = _lorentz_norms(ddz(q), (3 / 2, 1.0), (4 / 3, 1.0))
-    dr_omega_lor, = _lorentz_norms(ddr(omega), (3 / 2, 1.0))
-
-    speed_sq = u.u_r.values ** 2 + u.u_z.values ** 2
-    sup_u = float(np.sqrt(np.max(speed_sq)))
-    kinetic = cylindrical_integral(ScalarField(g, speed_sq))
-    del speed_sq
     sup_ur = float(np.max(np.abs(u.u_r.values)))
     # p = 4/3 in the anisotropic bound: inner exponent p/(3-2p) = 4
     mixed = norms.mixed_norm(ur_over_r(u), INF, 4.0)
+    speed_sq = u.u_r.values ** 2 + u.u_z.values ** 2
+    sup_u = float(np.sqrt(np.max(speed_sq)))
+    kinetic = cylindrical_integral(ScalarField(g, speed_sq))
 
     energy_lhs = kinetic + int_dzu2
     grow = math.exp(int_uror)
@@ -196,32 +185,39 @@ class CheckResult:
         return msg
 
 
+def _worst(values, default: float = 0.0) -> float:
+    """The largest of values (default if none), NaN if any is NaN: Python's
+    max() would skip a NaN that is not first, and a NaN verdict must FAIL."""
+    a = np.fromiter(values, float)
+    return float(a.max()) if a.size else default
+
+
 def energy_check(records: list[DiagnosticsRecord]) -> CheckResult:
     """||u(t)||^2 + 2 int ||dz u||^2 <= ||u0||^2 within 2% at every output."""
     e0 = records[0].kinetic_energy
     if e0 == 0.0:
-        worst = max(r.energy_lhs for r in records)
+        worst = _worst(r.energy_lhs for r in records)
         return CheckResult("energy", worst <= 0.0, worst, "zero initial energy")
-    worst = max((r.energy_lhs - e0) / e0 for r in records)
+    worst = _worst((r.energy_lhs - e0) / e0 for r in records)
     return CheckResult("energy", worst <= ENERGY_SLACK, worst)
 
 
 def max_principle_check(records: list[DiagnosticsRecord]) -> CheckResult:
     """sup|q| never grows (1e-12 slack); Lorentz norms of q never grow (1e-3)."""
     r0 = records[0]
-    worst_sup = max(r.sup_q - r0.sup_q for r in records)
+    worst_sup = _worst(r.sup_q - r0.sup_q for r in records)
     ok = worst_sup <= SUP_MONOTONE_SLACK
-    worst_rel = -INF
+    worst = [worst_sup]
     for attr in ("q_lorentz_32_1", "q_lorentz_65_1", "q_lorentz_2_2",
                  "q_lorentz_65_65"):
         n0 = getattr(r0, attr)
         if n0 == 0.0:
             ok = ok and all(getattr(r, attr) == 0.0 for r in records)
             continue
-        rel = max((getattr(r, attr) - n0) / n0 for r in records)
-        worst_rel = max(worst_rel, rel)
+        rel = _worst((getattr(r, attr) - n0) / n0 for r in records)
+        worst.append(rel)
         ok = ok and rel <= NORM_MONOTONE_SLACK
-    return CheckResult("max_principle", ok, max(worst_sup, worst_rel),
+    return CheckResult("max_principle", ok, _worst(worst),
                        f"sup slack {worst_sup:.3g}")
 
 
@@ -231,9 +227,10 @@ def growth_check(records: list[DiagnosticsRecord]) -> CheckResult:
     The Lorentz (3/2,1) ratio is reported in the record series but carries an
     unspecified constant, so it is not part of the verdict.
     """
-    worst = max(max(r.growth_ratio_l65, r.growth_ratio_l32, r.growth_ratio_l2)
-                for r in records[1:]) if len(records) > 1 else 0.0
-    lor = max((r.growth_ratio_lorentz_32_1 for r in records[1:]), default=0.0)
+    later = records[1:]
+    worst = _worst(x for r in later for x in
+                   (r.growth_ratio_l65, r.growth_ratio_l32, r.growth_ratio_l2))
+    lor = _worst(r.growth_ratio_lorentz_32_1 for r in later)
     return CheckResult("growth", worst <= 1.0 + GROWTH_SLACK, worst,
                        f"lorentz ratio {lor:.3g} (report only)")
 
@@ -253,7 +250,7 @@ def sqrt_t_check(records: list[DiagnosticsRecord],
     first = rows[0].sqrt_t_rho
     if first == 0.0:
         return CheckResult("sqrt_t", None, 0.0, "degenerate: rho(t1) = 0")
-    worst = max(r.sqrt_t_rho for r in rows)
+    worst = _worst(r.sqrt_t_rho for r in rows)
     return CheckResult("sqrt_t", worst <= SQRT_T_FACTOR * first, worst,
                        f"first {first:.3g}")
 
@@ -280,8 +277,7 @@ def dr_omega_monitor(records: list[DiagnosticsRecord]) -> CheckResult:
     """Time series of ||dr omega||_{3/2,1}; asserts finiteness only."""
     series = [r.dr_omega_lorentz_32_1 for r in records]
     finite = all(math.isfinite(v) for v in series)
-    return CheckResult("dr_omega", finite if not finite else None,
-                       max(series, default=0.0))
+    return CheckResult("dr_omega", None if finite else False, _worst(series))
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,9 @@ def row_measure(grid: GridSpec) -> np.ndarray:
 @functools.lru_cache(maxsize=4)
 def shared_cell_measure(grid: GridSpec) -> np.ndarray:
     """The cell measure of a grid, built once and read-only; the weighted
-    sums share it."""
+    sums share it.  The broadcast `row_measure` gives the same bits, but
+    multiplying by it instead raised a 192x384 record inside solves from
+    4,416 to 7,936 page faults and from about 30 to 36 ms."""
     out = np.broadcast_to(row_measure(grid)[:, None], (grid.n_r, grid.n_z)).copy()
     out.flags.writeable = False
     return out

@@ -141,6 +141,55 @@ class TestDrOmegaMonitor:
         assert dr_omega_monitor(recs).passed is False
 
 
+class TestNanRows:
+    # a NaN in any row but the first must make the verdict FAIL with worst NaN;
+    # Python's max() skips it there
+
+    def test_energy(self):
+        recs = series([{"kinetic_energy": 1.0, "energy_lhs": 1.0},
+                       {"energy_lhs": math.nan}, {"energy_lhs": 0.9}])
+        res = energy_check(recs)
+        assert res.passed is False and math.isnan(res.worst)
+        assert "worst=nan" in res.line()
+
+    def test_energy_zero_initial(self):
+        recs = series([{"kinetic_energy": 0.0, "energy_lhs": 0.0},
+                       {"energy_lhs": math.nan}, {"energy_lhs": 0.0}])
+        res = energy_check(recs)
+        assert res.passed is False and math.isnan(res.worst)
+
+    @pytest.mark.parametrize("column", ["sup_q", "q_lorentz_32_1"])
+    def test_max_principle(self, column):
+        row = {"sup_q": 1.0, "q_lorentz_32_1": 2.0, "q_lorentz_65_1": 2.0,
+               "q_lorentz_2_2": 2.0, "q_lorentz_65_65": 2.0}
+        recs = series([row, dict(row, **{column: math.nan}), row])
+        res = max_principle_check(recs)
+        assert res.passed is False and math.isnan(res.worst)
+
+    @pytest.mark.parametrize("column", ["growth_ratio_l65", "growth_ratio_l2"])
+    def test_growth(self, column):
+        row = {"growth_ratio_l65": 0.9, "growth_ratio_l32": 0.9,
+               "growth_ratio_l2": 0.9}
+        recs = series([{}, row, dict(row, **{column: math.nan}), row])
+        res = growth_check(recs)
+        assert res.passed is False and math.isnan(res.worst)
+
+    def test_sqrt_t(self):
+        recs = series([{"q_lorentz_32_1": 1.0},
+                       {"sqrt_t_rho": 0.01, "q_lorentz_32_1": 1.0},
+                       {"sqrt_t_rho": math.nan, "q_lorentz_32_1": 1.0},
+                       {"sqrt_t_rho": 0.012, "q_lorentz_32_1": 1.0}])
+        res = sqrt_t_check(recs)
+        assert res.passed is False and math.isnan(res.worst)
+
+    def test_dr_omega(self):
+        recs = series([{"dr_omega_lorentz_32_1": 1.0},
+                       {"dr_omega_lorentz_32_1": math.nan},
+                       {"dr_omega_lorentz_32_1": 2.0}])
+        res = dr_omega_monitor(recs)
+        assert res.passed is False and math.isnan(res.worst)
+
+
 class TestLemmaLp:
     @pytest.mark.parametrize("p", [6 / 5, 3 / 2, 2.0])
     @pytest.mark.parametrize("direction", ["r", "z"])
@@ -195,19 +244,27 @@ class TestComputeRecord:
         from axivisc import norms
         rec = compute_record(state, first=None)
         assert rec.sup_q == np.abs(state.q.values).max()
+        assert rec.omega_linf == np.abs(state.omega.values).max()
         assert rec.omega_l2 == pytest.approx(
             norms.lebesgue_norm(state.omega, 2.0), rel=1e-14)
         assert rec.energy_lhs == rec.kinetic_energy
 
     def test_one_rearrangement_per_field(self, state, monkeypatch):
-        from axivisc import norms
-        calls = []
+        # every norm goes through the norms module attribute, which is where
+        # perfbench's traced worker wraps them
+        calls = {"lebesgue_norm": 0, "lorentz_norm": 0, "mixed_norm": 0}
+        for name in calls:
+            fn = getattr(norms, name)
+            monkeypatch.setattr(norms, name, lambda *a, _fn=fn, _name=name: (
+                calls.__setitem__(_name, calls[_name] + 1) or _fn(*a)))
+        rearranged = []
         rearrange = norms.rearrange
         monkeypatch.setattr(norms, "rearrange",
-                            lambda f: calls.append(f) or rearrange(f))
+                            lambda f: rearranged.append(f) or rearrange(f))
         compute_record(state, first=None)
         # q, omega, dz omega, dz q and dr omega
-        assert len(calls) == 5
+        assert len(rearranged) == 5
+        assert calls == {"lebesgue_norm": 7, "lorentz_norm": 10, "mixed_norm": 1}
 
     def test_trapezoid_running_integral(self, state):
         # each record reads the state's integrals, which step() advances by

@@ -164,18 +164,23 @@ def tiny_config_text(out_dir, t_end=0.004, extra=""):
             f"t_end = {t_end}\nout_dir = {out_dir}\n{extra}")
 
 
-def tamper_final_row(run_dir, column):
-    """Scale one nonzero value of the final diagnostics.csv row by 1.0001."""
+def tamper_row(run_dir, column, row=-1, value=None):
+    """Set one value of a diagnostics.csv line (the final row by default) to
+    value, or scale it by 1.0001 when it is nonzero and value is None; returns
+    the file's line count."""
     csv_path = os.path.join(run_dir, "diagnostics.csv")
     with open(csv_path) as fh:
         lines = fh.read().splitlines()
     col = lines[0].split(",").index(column)
-    cols = lines[-1].split(",")
-    assert float(cols[col]) != 0.0
-    cols[col] = repr(float(cols[col]) * 1.0001)
-    lines[-1] = ",".join(cols)
+    cols = lines[row].split(",")
+    if value is None:
+        assert float(cols[col]) != 0.0
+        value = repr(float(cols[col]) * 1.0001)
+    cols[col] = value
+    lines[row] = ",".join(cols)
     with open(csv_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+    return len(lines)
 
 
 class TestCli:
@@ -197,9 +202,23 @@ class TestCli:
         cfg_file.write_text(tiny_config_text(out))
         assert cli.main(["run", "--config", str(cfg_file)]) == 0
         capsys.readouterr()
-        tamper_final_row(out, "sup_q")
+        tamper_row(out, "sup_q")
         assert cli.main(["check", "--out", out]) == 1
         assert "replay: FAIL" in capsys.readouterr().out
+
+    def test_check_fails_nan_in_middle_row(self, tmp_path, capsys):
+        # a NaN that is neither the first nor the worst value must still FAIL
+        cfg_file = tmp_path / "cfg.txt"
+        out = str(tmp_path / "out")
+        cfg_file.write_text(tiny_config_text(out, t_end=0.02))
+        assert cli.main(["run", "--config", str(cfg_file)]) == 0
+        capsys.readouterr()
+        # line 2 is the middle of three rows
+        assert tamper_row(out, "energy_lhs", row=2, value="nan") == 4
+        assert cli.main(["check", "--out", out]) == 1
+        captured = capsys.readouterr().out
+        assert "replay: PASS" in captured
+        assert "energy: FAIL (worst=nan)" in captured
 
     def test_check_detects_tampered_integral(self, tmp_path, capsys):
         # the replay rebuilds the running integrals from the snapshot header
@@ -208,7 +227,7 @@ class TestCli:
         cfg_file.write_text(tiny_config_text(out))
         assert cli.main(["run", "--config", str(cfg_file)]) == 0
         capsys.readouterr()
-        tamper_final_row(out, "twice_int_dz_u_l2_sq")
+        tamper_row(out, "twice_int_dz_u_l2_sq")
         assert cli.main(["check", "--out", out]) == 1
         assert "replay: FAIL" in capsys.readouterr().out
 

@@ -134,6 +134,15 @@ class TestCylindricalIntegral:
         exact = 2 * np.pi * (3 * 4 / 2 + 2)  # 2 pi int (3r + 1) dr dz
         assert cylindrical_integral(f) == pytest.approx(exact, rel=1e-13)
 
+    def test_independent_of_layout(self):
+        g = make_grid(2.0, -2.0, 2.0, 96, 192)
+        a = np.random.default_rng(5).standard_normal((96, 192))
+        padded = np.zeros((96, 2 * 192))
+        padded[:, ::2] = a
+        ref = cylindrical_integral(ScalarField(g, np.ascontiguousarray(a)))
+        for values in (np.asfortranarray(a), a.T.copy().T, padded[:, ::2]):
+            assert cylindrical_integral(ScalarField(g, values)) == ref
+
 
 class TestSnapshots:
     def test_round_trip_exact(self, tmp_path):

@@ -26,6 +26,7 @@ solve once with g = 0; the outward normal derivative at a wall face is
     k^2 = 4 r r' / ((r + r')^2 + (z - z')^2),
 
 with the self element replaced by its panel mean (r/2pi)(ln(16 r/h) - 1).
+The wall pairs take n_r^2 + n_r n_z + n_z - 1 distinct G_psi(r, r', |z - z'|).
 The second solve, with g, differs from the first only by wall terms, a
 rank-3 update of the first solve's radial spectrum.  Centred differences,
 with the even axis ghost and the wall ghosts, then give the velocity.
@@ -38,14 +39,10 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.fft as sp_fft
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, toeplitz
 from scipy.special import ellipe, ellipk
 
 from .grid import GridSpec, ScalarField, VelocityField
-
-# rows of the wall-to-wall Green's matrix evaluated at once; bounds the
-# elliptic-integral temporaries of the set-up, not a tuning knob
-_GREEN_ROWS = 128
 
 
 @dataclass
@@ -95,22 +92,25 @@ def _green_psi(r, z, rs, zs):
 
 
 def _wall_green(grid: GridSpec) -> np.ndarray:
-    """Matrix taking the zero-data solve phi_0 at the nodes next to the walls
-    to the free-space wall values g."""
-    rb, zb, ds, h = _walls(grid)
-    # g = -sum G_phi d_n phi_0 r'^3 dS' with d_n phi_0 = -2 phi_0 / h and
-    # G_phi r'^3 = G_psi r' / r^2
-    col = rb * (2.0 * ds / h)
+    """Matrix taking phi_0 next to the walls to the wall values g; each distinct
+    G_psi is evaluated once (z walls by symmetry, z_max to r_max by mirror,
+    r_max rows by transpose, r_max to itself Toeplitz), the self elements last."""
+    rb, _, ds, h = _walls(grid)
+    n_r, r, z, r_max = grid.n_r, grid.r, grid.z, grid.r_max
     green = np.empty((len(rb), len(rb)))
-    for a in range(0, len(rb), _GREEN_ROWS):
-        b = min(a + _GREEN_ROWS, len(rb))
-        rows = slice(a, b)
-        blk = _green_psi(rb[rows, None], zb[rows, None], rb, zb)
-        i = np.arange(a, b)
-        blk[i - a, i] = (rb[i] / (2.0 * np.pi)) * (np.log(16.0 * rb[i] / ds[i]) - 1.0)
-        blk *= col
-        blk /= (rb[rows] ** 2)[:, None]
-        green[rows] = blk
+    lo, hi, out = slice(None, n_r), slice(n_r, 2 * n_r), slice(2 * n_r, None)
+    for k, off, gap in ((1, 0, 0.0), (0, n_r, grid.z_max - grid.z_min)):
+        i, j = np.triu_indices(n_r, k)
+        green[i, j + off] = green[j, i + off] = _green_psi(r[i], 0.0, r[j], gap)
+    green[hi, hi], green[hi, lo] = green[lo, lo], green[lo, hi]
+    green[lo, out] = _green_psi(r[:, None], grid.z_min, r_max, z)
+    green[hi, out] = green[lo, out][:, ::-1]
+    green[out, :2 * n_r] = green[:2 * n_r, out].T
+    green[out, out] = toeplitz(np.append(0.0, _green_psi(r_max, z[0], r_max, z[1:])))
+    np.fill_diagonal(green, (rb / (2.0 * np.pi)) * (np.log(16.0 * rb / ds) - 1.0))
+    # g = -sum G_phi d_n phi_0 r'^3 dS' = sum G_psi (r' / r^2) (2 phi_0 / h) dS'
+    green *= rb * (2.0 * ds / h)
+    green /= (rb ** 2)[:, None]
     return green
 
 

@@ -240,19 +240,23 @@ def sqrt_t_check(records: list[DiagnosticsRecord],
     """rho(t) = int_0^t sup|u^r/r| / (sqrt(t) ||q0||_{3/2,1}) stays bounded.
 
     The constant is implicit, so boundedness is taken as 10x the value at the
-    first output time past t_min.
+    first output time past t_min.  With q0 = 0 or that value 0 there is no
+    reference: the verdict is REPORT, or FAIL if a row past t_min is NaN.
     """
-    if records[0].q_lorentz_32_1 == 0.0:
-        return CheckResult("sqrt_t", None, 0.0, "degenerate: q0 = 0")
     rows = [r for r in records if r.t > max(t_min, 0.0)]
-    if not rows:
-        return CheckResult("sqrt_t", None, 0.0, "no rows past t_min")
-    first = rows[0].sqrt_t_rho
-    if first == 0.0:
-        return CheckResult("sqrt_t", None, 0.0, "degenerate: rho(t1) = 0")
     worst = _worst(r.sqrt_t_rho for r in rows)
-    return CheckResult("sqrt_t", worst <= SQRT_T_FACTOR * first, worst,
-                       f"first {first:.3g}")
+    if records[0].q_lorentz_32_1 == 0.0:
+        degenerate = "q0 = 0"
+    elif not rows:
+        return CheckResult("sqrt_t", None, 0.0, "no rows past t_min")
+    elif rows[0].sqrt_t_rho == 0.0:
+        degenerate = "rho(t1) = 0"
+    else:
+        first = rows[0].sqrt_t_rho
+        return CheckResult("sqrt_t", worst <= SQRT_T_FACTOR * first, worst,
+                           f"first {first:.3g}")
+    return CheckResult("sqrt_t", False if math.isnan(worst) else None, worst,
+                       f"degenerate: {degenerate}")
 
 
 def lemma_lp_check(f: ScalarField, p: float, direction: str) -> CheckResult:

@@ -178,8 +178,8 @@ def dense_stream_velocity(omega):
     return u_r, u_z
 
 
-def bumpy_omega(n_r, n_z):
-    g = make_grid(2.0, -2.0, 2.0, n_r, n_z)
+def bumpy_omega(n_r, n_z, box=(2.0, -2.0, 2.0)):
+    g = make_grid(*box, n_r, n_z)
     R = g.r[:, None]
     Z = g.z[None, :]
     rng = np.random.default_rng(3)
@@ -190,16 +190,18 @@ def bumpy_omega(n_r, n_z):
 
 class TestSpectralTable:
     # the DST-II/eigenbasis solve against the dense matrix of the same
-    # discretisation; `green_rows` = 1 builds the wall Green's matrix one
-    # row per block, so each self element sits at a block's first row
-    @pytest.mark.parametrize("n_r,n_z,n_theta,green_rows", [
-        (12, 24, 16, None), (12, 24, 32, None), (8, 64, 16, 1),
-        (11, 24, 16, None)])
-    def test_matches_naive_reference(self, n_r, n_z, n_theta, green_rows,
-                                     monkeypatch):
-        if green_rows is not None:
-            monkeypatch.setattr(biot_savart, "_GREEN_ROWS", green_rows)
-        _, omega = bumpy_omega(n_r, n_z)
+    # discretisation; the last box has an odd n_z and is not centred on
+    # z = 0, so the mirrored z_max blocks of the wall Green's matrix meet
+    # the dense reference's pair-by-pair sum (the ids keep the names they
+    # had when the matrix was built in row blocks)
+    @pytest.mark.parametrize("box,n_r,n_z,n_theta", [
+        pytest.param((2.0, -2.0, 2.0), 12, 24, 16, id="12-24-16-None"),
+        pytest.param((2.0, -2.0, 2.0), 12, 24, 32, id="12-24-32-None"),
+        pytest.param((2.0, -2.0, 2.0), 8, 64, 16, id="8-64-16-1"),
+        pytest.param((2.0, -2.0, 2.0), 11, 24, 16, id="11-24-16-None"),
+        pytest.param((1.5, -1.0, 3.0), 10, 25, 16, id="off-centre-10-25")])
+    def test_matches_naive_reference(self, box, n_r, n_z, n_theta):
+        _, omega = bumpy_omega(n_r, n_z, box)
         u = velocity_from_vorticity(omega, KernelTable(n_theta))
         ref_r, ref_z = dense_stream_velocity(omega)
         for got, ref in ((u.u_r.values, ref_r), (u.u_z.values, ref_z)):
@@ -241,6 +243,46 @@ class TestStreamSolver:
         n = g.n_r
         for got, ref in zip(walls, (direct[:n], direct[n:2 * n], direct[2 * n:])):
             assert np.abs(got - ref).max() <= 1e-2 * scale
+
+    def test_wall_green_evaluates_each_distinct_value_once(self, monkeypatch):
+        # G_psi depends on r, r' and |z - z'| only: the (2 n_r + n_z)^2 wall
+        # pairs take n_r^2 + n_r n_z + n_z - 1 distinct values, and the self
+        # elements take the panel mean instead
+        n_r, n_z = 24, 48
+        sizes, pairs = [], []
+
+        def counting_ellipk(m):
+            sizes.append(np.size(m))
+            return ellipk(m)
+
+        def recording_green_psi(r, z, rs, zs):
+            pairs.append(np.broadcast_arrays(r, z, rs, zs))
+            return green_psi(r, z, rs, zs)
+
+        green_psi = biot_savart._green_psi
+        monkeypatch.setattr(biot_savart, "ellipk", counting_ellipk)
+        monkeypatch.setattr(biot_savart, "_green_psi", recording_green_psi)
+        biot_savart._stream_solver(make_grid(2.0, -2.0, 2.0, n_r, n_z),
+                                   KernelTable())
+        assert sum(sizes) <= n_r ** 2 + n_r * n_z + n_z - 1
+        for r, z, rs, zs in pairs:
+            assert not np.any((r == rs) & (z == zs))
+
+    @pytest.mark.parametrize("box,n_r,n_z", [
+        ((2.0, -2.0, 2.0), 12, 24), ((2.0, -2.0, 2.0), 11, 24),
+        ((2.0, -2.0, 2.0), 8, 64), ((2.0, -2.0, 2.0), 96, 192),
+        ((1.5, -1.0, 3.0), 10, 25)],
+        ids=["12x24", "11x24", "8x64", "96x192", "off-centre-10x25"])
+    def test_wall_green_matches_entrywise_matrix(self, box, n_r, n_z):
+        # G_psi at every wall pair, self elements overwritten by the panel
+        # mean; the assembled blocks differ by rounding in |z - z'| only
+        g = make_grid(*box, n_r, n_z)
+        rb, zb, ds, h = biot_savart._walls(g)
+        G = biot_savart._green_psi(rb[:, None], zb[:, None], rb, zb)
+        np.fill_diagonal(G, (rb / (2.0 * np.pi)) * (np.log(16.0 * rb / ds) - 1.0))
+        ref = G * (rb * (2.0 * ds / h)) / (rb ** 2)[:, None]
+        got = biot_savart._wall_green(g)
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_setup_memory_at_384x768(self):
         # a dense theta' table would hold 2 (n_z+1) n_r^2 doubles, 1.8 GB here

@@ -182,6 +182,21 @@ class TestNanRows:
         res = sqrt_t_check(recs)
         assert res.passed is False and math.isnan(res.worst)
 
+    # the degenerate branches have no reference to bound against, but
+    # still read every row past t_min
+    def test_sqrt_t_zero_first_rho(self):
+        recs = series([{"q_lorentz_32_1": 1.0},
+                       {"sqrt_t_rho": 0.0, "q_lorentz_32_1": 1.0},
+                       {"sqrt_t_rho": math.nan, "q_lorentz_32_1": 1.0}])
+        res = sqrt_t_check(recs)
+        assert res.passed is False and math.isnan(res.worst)
+
+    def test_sqrt_t_zero_initial(self):
+        recs = series([{"q_lorentz_32_1": 0.0}, {"sqrt_t_rho": 0.0},
+                       {"sqrt_t_rho": math.nan}])
+        res = sqrt_t_check(recs)
+        assert res.passed is False and math.isnan(res.worst)
+
     def test_dr_omega(self):
         recs = series([{"dr_omega_lorentz_32_1": 1.0},
                        {"dr_omega_lorentz_32_1": math.nan},

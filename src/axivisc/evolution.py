@@ -27,10 +27,9 @@ landing times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from . import diagnostics
 from .biot_savart import KernelTable, ur_over_r, velocity_from_vorticity
@@ -188,6 +187,62 @@ def _advect(f: ScalarField, u: VelocityField, dt: float) -> np.ndarray:
     return out
 
 
+# points per diagonal block of the inverse in _diffuse_z: larger blocks do
+# more arithmetic per point, smaller ones more numpy calls per block
+_DIFFUSION_BLOCK = 64
+
+
+@lru_cache(maxsize=4)
+def _diffusion_inverse(n: int, lam: float) -> tuple:
+    """The inverse of A = tridiag(-lam, 1 + 2 lam, -lam) of size n, as
+    _diffuse_z applies it: (diagonal blocks transposed, (nb, b, b); block end
+    weights, (nb, b, 2); carries between blocks, (2, nb, nb); carry lifts,
+    (nb, 2, b)), read-only.
+
+    With s = lam / r_1, r_1 = (1 + 2 lam + sqrt(1 + 4 lam)) / 2, the root of
+    x^2 - (1 + 2 lam) x + lam^2 above lam, and 1-based i, j,
+
+        (A^-1)_ij = s^|i-j| lo_min(i,j) hi_max(i,j) / C,
+        lo_i = 1 - s^2i,  hi_i = 1 - s^2(n+1-i),
+        C = sqrt(1 + 4 lam) (1 - s^2(n+1)),
+
+    every factor >= 0.  A^-1 is semiseparable: below the diagonal blocks it
+    is hi_i s^i times lo_j s^-j, above them the mirror, so the part of the
+    sum from outside a block reaches it through two carries, the running
+    sums L_i = sum_{j<=i} s^(i-j) lo_j y_j and U_i = sum_{j>i} s^(j-i) hi_j y_j
+    at the block's ends.  The last block is padded with zero rows and
+    columns when b does not divide n.
+    """
+    nb = -(-n // _DIFFUSION_BLOCK)
+    b = -(-n // nb)
+    q = np.sqrt(1.0 + 4.0 * lam)
+    s = 2.0 * lam / (1.0 + 2.0 * lam + q)
+    i = np.arange(1, nb * b + 1)
+    inside = i <= n
+    i_in = np.minimum(i, n)
+    lo = np.where(inside, 1.0 - s ** (2 * i_in), 0.0).reshape(nb, b)
+    hi = np.where(inside, 1.0 - s ** (2 * (n + 1 - i_in)), 0.0).reshape(nb, b)
+    c = q * (1.0 - s ** (2 * (n + 1)))
+    k = np.arange(b)
+    near = s ** np.abs(k[:, None] - k)
+    upper = k[:, None] <= k
+    # transposed: blocks[x, j, i] = (A^-1)_ij with i, j in block x
+    lo_min = np.where(upper, lo[:, :, None], lo[:, None, :])
+    hi_max = np.where(upper, hi[:, None, :], hi[:, :, None])
+    blocks = near * lo_min * hi_max / c
+    # the carries leave a block as L at its last point and U before its
+    # first, and enter the next block down (L) or up (U) at its ends
+    ends = np.stack([lo * s ** (b - 1 - k), hi * s ** (k + 1)], axis=-1)
+    gap = np.abs(np.arange(nb)[:, None] - np.arange(nb))
+    far = np.where(gap > 0, s ** (b * np.maximum(gap - 1, 0)), 0.0)
+    carries = np.stack([np.tril(far), np.triu(far)])
+    lifts = np.stack([hi * s ** (k + 1), lo * s ** (b - 1 - k)], axis=1) / c
+    out = (blocks, ends, carries, lifts)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def _diffuse_z(values: np.ndarray, grid: GridSpec, dt: float) -> np.ndarray:
     """Backward-Euler vertical diffusion, zero-extension ghosts at the z walls.
 
@@ -195,14 +250,28 @@ def _diffuse_z(values: np.ndarray, grid: GridSpec, dt: float) -> np.ndarray:
     at the outer boundary; reflecting (zero-flux) walls make diffused fields
     pile up against z_min/z_max and visibly break the energy balance once the
     support reaches the truncation margin.
+
+    The solve applies the exact inverse (_diffusion_inverse) in one batched
+    matmul of its diagonal blocks along z, plus the carries between blocks;
+    no factor is negative, so a non-negative field stays non-negative.
     """
-    n_z = grid.n_z
-    lam = dt / grid.dz ** 2
-    ab = np.zeros((3, n_z))
-    ab[0, 1:] = -lam
-    ab[2, :-1] = -lam
-    ab[1, :] = 1.0 + 2.0 * lam
-    return solve_banded((1, 1), ab, values.T).T
+    n_r, n_z = values.shape
+    blocks, ends, carries, lifts = _diffusion_inverse(n_z, dt / grid.dz ** 2)
+    nb, b = blocks.shape[:2]
+    y = values if nb * b == n_z else np.pad(values, ((0, 0), (0, nb * b - n_z)))
+    y = y.reshape(n_r, nb, b).transpose(1, 0, 2)
+    out = np.empty((n_r, nb * b))
+    by_block = out.reshape(n_r, nb, b).transpose(1, 0, 2)
+    np.matmul(y, blocks, out=by_block)
+    if nb > 1:
+        sums = np.matmul(y, ends)                     # (nb, n_r, 2)
+        carry = np.empty_like(sums)
+        for d in range(2):
+            np.matmul(carries[d], sums[..., d], out=carry[..., d])
+        # block by block, so that the lift's temporary stays block-sized
+        for x in range(nb):
+            by_block[x] += carry[x] @ lifts[x]
+    return np.ascontiguousarray(out[:, :n_z]) if nb * b > n_z else out
 
 
 def _horizontal_laplacian(values: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -6,8 +6,8 @@ every t-integral in the L^{p,q} definition is evaluated in closed form per
 constancy interval; in particular L^{p,p} coincides with L^p up to rounding.
 
 The rearrangement is defined as the stable sort of |f| in decreasing order
-(ties keep grid order).  `rearrange` builds it from two plain sorts of 64-bit
-keys instead of a stable argsort, and falls back to the stable argsort in the
+(ties keep grid order).  `rearrange` builds it from two plain sorts of
+doubles instead of a stable argsort, and falls back to the stable argsort in the
 rare case where the plain sorts cannot be shown to give the same profile bit
 for bit (see its docstring).
 """
@@ -65,15 +65,16 @@ def rearrange(f: ScalarField) -> RearrangementProfile:
     """Decreasing rearrangement of |f| against the cylindrical cell measure.
 
     The profile is that of the stable sort of |f| in decreasing order, ties in
-    grid order (`_rearrange_stable`).  It is built from two plain sorts:
+    grid order (`_rearrange_stable`).  It is built from two plain sorts, both
+    read backwards:
 
-    - For non-negative doubles the uint64 bit pattern orders like the value,
-      so one plain sort of the complemented bits c = ~bits(|f|) gives the
-      values, exactly and in decreasing order.
+    - Non-negative doubles sort as their uint64 bit patterns do, so one plain
+      sort of |f| gives the values, exactly, in increasing order.
     - The measures need only the row of each sorted node.  With
-      k = (n_r - 1).bit_length() low bits cleared, c leaves room for the row:
-      a plain sort of the keys (c with its low k bits cleared) | row orders the
-      nodes by the high bits of c, then by row.
+      k = (n_r - 1).bit_length() low bits of |f| replaced by low - row, where
+      low = 2^k - 1, a plain sort of these keys, as doubles, orders the nodes
+      by the high bits of |f|, then by decreasing row; backwards, by
+      decreasing high bits, then by row.
 
     Both orders list the nodes in the same runs of equal high bits, in the
     same order, so they agree on the row sequence wherever a run holds one
@@ -84,22 +85,22 @@ def rearrange(f: ScalarField) -> RearrangementProfile:
     profile then comes from the stable argsort.
     """
     g = f.grid
-    c = np.abs(f.values).view(np.uint64)
-    np.invert(c, out=c)
+    v = np.abs(f.values).reshape(-1)
+    bits = v.view(np.uint64)
     low = np.uint64((1 << (g.n_r - 1).bit_length()) - 1)
-    keys = c & ~low
-    keys |= np.arange(g.n_r, dtype=np.uint64)[:, None]
-    c = c.reshape(-1)
+    keys = bits.reshape(g.n_r, g.n_z) & ~low
+    keys |= low - np.arange(g.n_r, dtype=np.uint64)[:, None]
     keys = keys.reshape(-1)
-    c.sort()
-    keys.sort()
-    # c[0] is the complement of the largest bit pattern of |f|
-    if ~c[0] >= _INF_BITS or _mixed_run(c, keys, low):
+    v.sort()
+    keys.view(np.float64).sort()
+    # NaN sorts last, so bits[-1] is the largest bit pattern of |f|; the runs
+    # and the changes inside them are the same read either way
+    if bits[-1] >= _INF_BITS or _mixed_run(bits, keys, low):
         return _rearrange_stable(f)
-    keys &= low
-    m = row_measure(g)[keys.view(np.int64)]
-    np.invert(c, out=c)
-    return RearrangementProfile(c.view(np.float64), m, np.cumsum(m))
+    rows = low - (keys[::-1] & low)
+    m = row_measure(g)[rows.view(np.int64)]
+    # contiguous, so that the norms' sums add in the order the stable sort's do
+    return RearrangementProfile(v[::-1].copy(), m, np.cumsum(m))
 
 
 def _mixed_run(c: np.ndarray, keys: np.ndarray, low: np.uint64) -> bool:

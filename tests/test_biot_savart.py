@@ -1,7 +1,10 @@
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.fft
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import ellipe, ellipk
 
 from axivisc import biot_savart
@@ -249,22 +252,17 @@ class TestStreamSolver:
         # pairs take n_r^2 + n_r n_z + n_z - 1 distinct values, and the self
         # elements take the panel mean instead
         n_r, n_z = 24, 48
-        sizes, pairs = [], []
-
-        def counting_ellipk(m):
-            sizes.append(np.size(m))
-            return ellipk(m)
+        pairs = []
 
         def recording_green_psi(r, z, rs, zs):
             pairs.append(np.broadcast_arrays(r, z, rs, zs))
             return green_psi(r, z, rs, zs)
 
         green_psi = biot_savart._green_psi
-        monkeypatch.setattr(biot_savart, "ellipk", counting_ellipk)
         monkeypatch.setattr(biot_savart, "_green_psi", recording_green_psi)
         biot_savart._stream_solver(make_grid(2.0, -2.0, 2.0, n_r, n_z),
                                    KernelTable())
-        assert sum(sizes) <= n_r ** 2 + n_r * n_z + n_z - 1
+        assert sum(r.size for r, _, _, _ in pairs) <= n_r ** 2 + n_r * n_z + n_z - 1
         for r, z, rs, zs in pairs:
             assert not np.any((r == rs) & (z == zs))
 
@@ -277,10 +275,9 @@ class TestStreamSolver:
         # G_psi at every wall pair, self elements overwritten by the panel
         # mean; the assembled blocks differ by rounding in |z - z'| only
         g = make_grid(*box, n_r, n_z)
-        rb, zb, ds, h = biot_savart._walls(g)
-        G = biot_savart._green_psi(rb[:, None], zb[:, None], rb, zb)
-        np.fill_diagonal(G, (rb / (2.0 * np.pi)) * (np.log(16.0 * rb / ds) - 1.0))
-        ref = G * (rb * (2.0 * ds / h)) / (rb ** 2)[:, None]
+        rb, zb, ds, _ = biot_savart._walls(g)
+        ref = biot_savart._green_psi(rb[:, None], zb[:, None], rb, zb)
+        np.fill_diagonal(ref, (rb / (2.0 * np.pi)) * (np.log(16.0 * rb / ds) - 1.0))
         got = biot_savart._wall_green(g)
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
@@ -303,6 +300,74 @@ class TestStreamSolver:
         assert isinstance(entry, tuple)
         assert all(isinstance(a, np.ndarray) and a.dtype == np.float64
                    for a in entry)
+
+
+def scipy_green_psi(r, z, rs, zs):
+    """G_psi in the closed form of complete elliptic integrals, from scipy."""
+    m = 4.0 * r * rs / ((r + rs) ** 2 + (z - zs) ** 2)
+    k = np.sqrt(m)
+    return (np.sqrt(r * rs) / (2.0 * np.pi)) * (
+        (2.0 / k - k) * ellipk(m) - (2.0 / k) * ellipe(m))
+
+
+class TestNumpyAgainstScipy:
+    # the solver's numpy forms of what it once took from scipy, with scipy
+    # (and mpmath) as the references
+
+    @pytest.mark.parametrize("n", [5, 24, 25, 192])
+    @pytest.mark.parametrize("shape", [(), (7,)], ids=["1d", "2d"])
+    def test_dst(self, n, shape):
+        x = np.random.default_rng(n).normal(size=shape + (n,))
+        tw = biot_savart._twiddles(n)
+        for inverse, ref in ((False, scipy.fft.dst), (True, scipy.fft.idst)):
+            got = biot_savart._dst(x.copy(), tw, inverse)
+            want = ref(x, type=2, norm="ortho")
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("box,n_r,n_z", [
+        ((2.0, -2.0, 2.0), 96, 192), ((1.5, -1.0, 3.0), 10, 25)],
+        ids=["96x192", "off-centre-10x25"])
+    def test_green_psi_per_wall_block(self, box, n_r, n_z):
+        g = make_grid(*box, n_r, n_z)
+        rb, zb, _, _ = biot_savart._walls(g)
+        got = biot_savart._green_psi(rb[:, None], zb[:, None], rb, zb)
+        off = ~np.eye(len(rb), dtype=bool)
+        want = np.where(off, scipy_green_psi(rb[:, None], zb[:, None], rb, zb), 0.0)
+        walls = (slice(None, n_r), slice(n_r, 2 * n_r), slice(2 * n_r, None))
+        for a in walls:
+            for b in walls:
+                err = np.abs(np.where(off, got, 0.0) - want)[a, b].max()
+                assert err <= 1e-13 * np.abs(want[a, b]).max()
+
+    @pytest.mark.parametrize("m", [2e-5, 1e-3])
+    def test_green_psi_small_m_against_mpmath(self, m):
+        # the elliptic closed form cancels here: scipy's loses 4e-6 at 2e-5
+        gap = np.sqrt(4.0 / m - 4.0)
+        got = biot_savart._green_psi(np.array([1.0]), 0.0, 1.0, gap)[0]
+        with mpmath.workdps(40):
+            mm = 4 / (4 + mpmath.mpf(float(gap)) ** 2)
+            k = mpmath.sqrt(mm)
+            want = float((2 / k - k) * mpmath.ellipk(mm)
+                         - (2 / k) * mpmath.ellipe(mm)) / (2 * np.pi)
+        assert abs(got - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("n_r", [8, 96])
+    def test_radial_eigenpairs(self, n_r):
+        g = make_grid(2.0, -2.0, 2.0, n_r, 24)
+        s = biot_savart._stream_solver(g, KernelTable())
+        faces = np.arange(n_r + 1) * g.dr
+        vol = np.diff(faces ** 4) / 4.0
+        flux = faces ** 3 / g.dr
+        diag = -(flux[:-1] + flux[1:])
+        diag[-1] -= flux[-1]
+        sq = np.sqrt(vol)
+        eig, vec = eigh_tridiagonal(diag / vol, flux[1:-1] / (sq[:-1] * sq[1:]))
+        eig_z0 = -(4.0 / g.dz ** 2) * np.sin(np.pi / (2 * g.n_z)) ** 2
+        np.testing.assert_allclose(1.0 / s.inv_eig[:, 0] - eig_z0, eig,
+                                   rtol=1e-12, atol=1e-12 * np.abs(eig).max())
+        # the same orthonormal eigenvectors, up to sign
+        overlap = np.abs(vec.T @ (s.to_radial / sq).T)
+        np.testing.assert_allclose(overlap, np.eye(n_r), atol=1e-10)
 
 
 class TestUrOverR:

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -458,3 +460,17 @@ class TestCli:
         assert ur.role == "u_r"
         assert np.abs(ur.values).max() > 0
 
+
+
+class TestImports:
+    def test_no_scipy_at_run_time(self):
+        # scipy is a test-only reference: neither the package nor its command
+        # line loads any of it
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "src")
+        code = ("import sys, axivisc, axivisc.cli; "
+                "print([m for m in sys.modules if m.startswith('scipy')])")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == "[]"

@@ -4,12 +4,6 @@ Lorentz norms go through the decreasing rearrangement of |f| with respect to
 the cylindrical measure.  The discrete rearrangement is a step function, so
 every t-integral in the L^{p,q} definition is evaluated in closed form per
 constancy interval; in particular L^{p,p} coincides with L^p up to rounding.
-
-The rearrangement is defined as the stable sort of |f| in decreasing order
-(ties keep grid order).  `rearrange` builds it from two plain sorts of
-doubles instead of a stable argsort, and falls back to the stable argsort in the
-rare case where the plain sorts cannot be shown to give the same profile bit
-for bit (see its docstring).
 """
 
 from __future__ import annotations
@@ -23,9 +17,6 @@ import numpy as np
 from .grid import ScalarField, cylindrical_integral, row_measure
 
 INF = math.inf
-
-# bit pattern of +inf: |f| has these bits or more exactly where it is inf or NaN
-_INF_BITS = np.float64(INF).view(np.uint64)
 
 
 @dataclass(frozen=True)
@@ -64,73 +55,32 @@ class RearrangementProfile:
 def rearrange(f: ScalarField) -> RearrangementProfile:
     """Decreasing rearrangement of |f| against the cylindrical cell measure.
 
-    The profile is that of the stable sort of |f| in decreasing order, ties in
-    grid order (`_rearrange_stable`).  It is built from two plain sorts, both
-    read backwards:
+    Two plain sorts, read backwards: one of |f| gives the values exactly, and
+    one of keys, |f| with its k = (n_r - 1).bit_length() low bits replaced by
+    2^k - 1 - row, pairs each with the row of a node whose |f| has the same
+    high bits, as both sort by the high bits first.  So the profile is that
+    of a field within a relative 2^(k-52) of |f| wherever |f| is a normal
+    double, and each Lorentz norm (homogeneous, monotone) is within that of
+    the exact one, plus rounding: 2.8e-14 at 96 rows, 2.3e-13 at 768.
 
-    - Non-negative doubles sort as their uint64 bit patterns do, so one plain
-      sort of |f| gives the values, exactly, in increasing order.
-    - The measures need only the row of each sorted node.  With
-      k = (n_r - 1).bit_length() low bits of |f| replaced by low - row, where
-      low = 2^k - 1, a plain sort of these keys, as doubles, orders the nodes
-      by the high bits of |f|, then by decreasing row; backwards, by
-      decreasing high bits, then by row.
-
-    Both orders list the nodes in the same runs of equal high bits, in the
-    same order, so they agree on the row sequence wherever a run holds one
-    distinct value (exact ties: the stable order takes them in grid order,
-    which is row order) or one distinct row (the z-mirror near-ties of a
-    symmetric field).  A run that holds two distinct values and two distinct
-    rows may differ, and so may a non-finite |f|; both are detected, and the
-    profile then comes from the stable argsort.
+    A non-finite |f| raises ValueError: its keys can be NaN, which the sort
+    writes back without their row bits.
     """
     g = f.grid
     v = np.abs(f.values).reshape(-1)
-    bits = v.view(np.uint64)
     low = np.uint64((1 << (g.n_r - 1).bit_length()) - 1)
-    keys = bits.reshape(g.n_r, g.n_z) & ~low
+    keys = v.view(np.uint64).reshape(g.n_r, g.n_z) & ~low
     keys |= low - np.arange(g.n_r, dtype=np.uint64)[:, None]
     keys = keys.reshape(-1)
     v.sort()
+    # NaN sorts last, so v[-1] is finite only if every value is
+    if not math.isfinite(v[-1]):
+        raise ValueError("field is not finite")
     keys.view(np.float64).sort()
-    # NaN sorts last, so bits[-1] is the largest bit pattern of |f|; the runs
-    # and the changes inside them are the same read either way
-    if bits[-1] >= _INF_BITS or _mixed_run(bits, keys, low):
-        return _rearrange_stable(f)
     rows = low - (keys[::-1] & low)
     m = row_measure(g)[rows.view(np.int64)]
-    # contiguous, so that the norms' sums add in the order the stable sort's do
+    # contiguous: numpy's power can round a strided view's last bit otherwise
     return RearrangementProfile(v[::-1].copy(), m, np.cumsum(m))
-
-
-def _mixed_run(c: np.ndarray, keys: np.ndarray, low: np.uint64) -> bool:
-    """Whether some run of equal high bits holds two distinct values (a
-    change inside the run in the sorted c) and two distinct rows (a change
-    inside the run in the sorted keys)."""
-    # runs with two rows are rare (exact ties across rows), so test them first
-    rowed = _changing_runs(keys, low)
-    return rowed.size > 0 and bool(np.isin(rowed, _changing_runs(c, low)).any())
-
-
-def _changing_runs(s: np.ndarray, low: np.uint64) -> np.ndarray:
-    """The high bits of the sorted s at each change inside a run of equal
-    high bits, in sorted order."""
-    # neighbours differ in the low bits only where 0 < xor <= low, that is
-    # where xor - 1 (wrapping 0 to the top) is below low
-    x = s[1:] ^ s[:-1]
-    x -= np.uint64(1)
-    return s[np.flatnonzero(x < low)] & ~low
-
-
-def _rearrange_stable(f: ScalarField) -> RearrangementProfile:
-    """The defining rearrangement: a stable argsort of -|f|."""
-    vals = np.abs(f.values).ravel()
-    # stable sort on the negated values: ties keep grid order
-    order = np.argsort(-vals, kind="stable")
-    v = vals[order]
-    # the cells of an r-row share one measure; node k lies in row k // n_z
-    m = row_measure(f.grid)[order // f.grid.n_z]
-    return RearrangementProfile(v, m, np.cumsum(m))
 
 
 def lebesgue_norm(f: ScalarField, p: float) -> float:

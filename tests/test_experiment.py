@@ -446,6 +446,18 @@ class TestCli:
         assert captured.err.startswith("error: ")
         assert "nan" not in captured.out
 
+    def test_norms_of_non_finite_snapshot_exit_2(self, tmp_path, capsys):
+        snap = str(tmp_path / "snap")
+        g = make_grid(2.0, -2.0, 2.0, 20, 40)
+        vals = np.ones((20, 40))
+        vals[7, 3] = np.nan
+        save_field(snap, ScalarField(g, vals, "q_omega_over_r"))
+        assert cli.main(["norms", "--snapshot", snap,
+                         "--p", "1.5", "--q", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "field is not finite" in captured.err
+        assert "lorentz" not in captured.out
+
     def test_reconstruct_writes_velocity(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.txt"
         out = str(tmp_path / "out")

@@ -138,25 +138,6 @@ def _walls(grid: GridSpec):
     return rb, zb, ds, h
 
 
-def _agm_steps(m: float) -> int:
-    """Steps of the AGM in `_green_psi` at parameter m: until the term
-    2^(n-1) c_n^2 falls below 2^-53 of the sum.  A smaller m converges in
-    fewer, so the largest m of a block sets the block's count."""
-    b = math.sqrt(1.0 - m)
-    a = 0.5 * (1.0 + b)
-    c = m / (4.0 * a)
-    b = math.sqrt(b)
-    total = term = c * c
-    n = 1
-    while term > 2.0 ** -53 * total:
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        c = c * c / (4.0 * a)
-        term = 2.0 ** n * c * c
-        total += term
-        n += 1
-    return n
-
-
 def _green_psi(r, z, rs, zs):
     """Free-space Stokes stream function at (r, z) of a unit ring at (rs, zs).
 
@@ -170,8 +151,10 @@ def _green_psi(r, z, rs, zs):
 
     with a_1 = (1 + b_0)/2, b_1 = sqrt(b_0), c_1 = m / (4 a_1) and
     c_{n+1} = c_n^2 / (4 a_{n+1}): no difference of nearly equal terms.
-    The AGM runs in blocks of _BLOCK values, each for the steps of its
-    largest m, so that far pairs stop early and the temporaries stay small.
+    The AGM runs in blocks of _BLOCK values; each block stops once the
+    term 2^(n-1) c_n^2 at its largest m falls below 2^-53 of the sum there,
+    since a smaller m converges in fewer steps, so far pairs stop early and
+    the temporaries stay small.
     """
     d2 = (r + rs) ** 2 + (z - zs) ** 2
     m = 4.0 * r * rs / d2
@@ -179,7 +162,7 @@ def _green_psi(r, z, rs, zs):
     for blk in range(0, m.size, _BLOCK):
         c = m.reshape(-1)[blk:blk + _BLOCK]
         total = out.reshape(-1)[blk:blk + _BLOCK]
-        steps = _agm_steps(float(np.max(c)))
+        k = int(np.argmax(c))
         b = 1.0 - c
         np.sqrt(b, out=b)
         a = 1.0 + b
@@ -188,8 +171,9 @@ def _green_psi(r, z, rs, zs):
         c *= 0.25
         np.sqrt(b, out=b)
         np.multiply(c, c, out=total)
-        t = np.empty_like(total)
-        for n in range(1, steps):
+        t = total.copy()
+        n = 1
+        while t[k] > 2.0 ** -53 * total[k]:
             np.multiply(a, b, out=t)
             a += b
             a *= 0.5
@@ -200,6 +184,7 @@ def _green_psi(r, z, rs, zs):
             np.multiply(c, c, out=t)
             t *= 2.0 ** n
             total += t
+            n += 1
         np.sqrt(d2.reshape(-1)[blk:blk + _BLOCK], out=t)
         total *= t
         a *= 4.0

@@ -149,29 +149,29 @@ def _green_psi(r, z, rs, zs):
         G_psi = sqrt(r rs) S / (2 k a_N) = d S / (4 a_N),
         d^2 = (r + rs)^2 + (z - zs)^2 = 4 r rs / m,
 
-    with a_1 = (1 + b_0)/2, b_1 = sqrt(b_0), c_1 = m / (4 a_1) and
-    c_{n+1} = c_n^2 / (4 a_{n+1}): no difference of nearly equal terms.
-    The AGM runs in blocks of _BLOCK values; each block stops once the
-    term 2^(n-1) c_n^2 at its largest m falls below 2^-53 of the sum there,
-    since a smaller m converges in fewer steps, so far pairs stop early and
-    the temporaries stay small.
+    with a_1 = (1 + b_0)/2, b_1 = sqrt(b_0), c_1 = m / (4 a_1),
+    c_{n+1} = c_n^2 / (4 a_{n+1}) and b_0^2 = 1 - m formed as
+    m_1 = ((r - rs)^2 + (z - zs)^2) / d^2: no difference of nearly equal
+    terms, even beside the singular panel.  The AGM runs in blocks of _BLOCK
+    values, each until its term 2^(n-1) c_n^2 at the block's largest m (the
+    slowest to converge) falls below 2^-53 of the sum there, so that far
+    pairs stop early and the temporaries stay small.
     """
     d2 = (r + rs) ** 2 + (z - zs) ** 2
     m = 4.0 * r * rs / d2
+    m1 = ((r - rs) ** 2 + (z - zs) ** 2) / d2
     out = np.empty_like(m)
     for blk in range(0, m.size, _BLOCK):
         c = m.reshape(-1)[blk:blk + _BLOCK]
         total = out.reshape(-1)[blk:blk + _BLOCK]
         k = int(np.argmax(c))
-        b = 1.0 - c
-        np.sqrt(b, out=b)
+        b = np.sqrt(m1.reshape(-1)[blk:blk + _BLOCK])
         a = 1.0 + b
         a *= 0.5
         c /= a
         c *= 0.25
         np.sqrt(b, out=b)
-        np.multiply(c, c, out=total)
-        t = total.copy()
+        total[:] = t = c * c
         n = 1
         while t[k] > 2.0 ** -53 * total[k]:
             np.multiply(a, b, out=t)

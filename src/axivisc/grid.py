@@ -203,7 +203,8 @@ def load_header(path: str, keys: tuple) -> dict[str, str]:
 
 
 def load_field(path: str) -> tuple[ScalarField, float]:
-    """Read a snapshot; a malformed one raises a ValueError naming its file."""
+    """Read a snapshot; a malformed or non-finite one raises a ValueError
+    naming its file."""
     meta = load_header(path, ("n_r", "n_z", "r_max", "z_min", "z_max", "role", "time"))
     try:
         grid = make_grid(float(meta["r_max"]), float(meta["z_min"]),
@@ -218,6 +219,8 @@ def load_field(path: str) -> tuple[ScalarField, float]:
         raise ValueError(f"{path}.bin: {size} bytes, expected 8 per value "
                          f"of a {grid.n_r}x{grid.n_z} grid")
     values = np.fromfile(path + ".bin", dtype="<f8").reshape(grid.n_r, grid.n_z)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}.bin: field is not finite")
     return ScalarField(grid, values, role), t
 
 

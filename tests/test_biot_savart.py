@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.fft
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import ellipe, ellipk
+from scipy.special import ellipe, ellipk, ellipkm1
 
 from axivisc import biot_savart
 from axivisc.biot_savart import KernelTable, ur_over_r, velocity_from_vorticity
@@ -303,11 +303,39 @@ class TestStreamSolver:
 
 
 def scipy_green_psi(r, z, rs, zs):
-    """G_psi in the closed form of complete elliptic integrals, from scipy."""
-    m = 4.0 * r * rs / ((r + rs) ** 2 + (z - zs) ** 2)
+    """G_psi in the closed form of complete elliptic integrals, from scipy;
+    K from the complementary parameter 1 - m, formed without cancelling
+    (ellipk(m) loses 6e-13 on the outermost z-wall panels at 96x192)."""
+    d2 = (r + rs) ** 2 + (z - zs) ** 2
+    m = 4.0 * r * rs / d2
     k = np.sqrt(m)
+    K = ellipkm1(((r - rs) ** 2 + (z - zs) ** 2) / d2)
     return (np.sqrt(r * rs) / (2.0 * np.pi)) * (
-        (2.0 / k - k) * ellipk(m) - (2.0 / k) * ellipe(m))
+        (2.0 / k - k) * K - (2.0 / k) * ellipe(m))
+
+
+def mpmath_green_psi(r, z, rs, zs):
+    """G_psi at 40 digits, from the float inputs taken exactly."""
+    with mpmath.workdps(40):
+        r, z, rs, zs = (mpmath.mpf(float(x)) for x in (r, z, rs, zs))
+        m = 4 * r * rs / ((r + rs) ** 2 + (z - zs) ** 2)
+        k = mpmath.sqrt(m)
+        return float(mpmath.sqrt(r * rs) / (2 * mpmath.pi) * (
+            (2 / k - k) * mpmath.ellipk(m) - (2 / k) * mpmath.ellipe(m)))
+
+
+def near_singular_pairs():
+    """Ring pairs close to coincidence: r = r' = 0.7 at small gaps (at 1e-8,
+    4 r r' / d^2 rounds to 1), and at 96x192 and 384x768 the two outermost
+    z_min panels and the corner pair of z_min and r_max panels."""
+    pairs = [pytest.param((0.7, 0.0, 0.7, gap), id=f"gap{gap:g}")
+             for gap in (1e-3, 1e-5, 1e-7, 1e-8)]
+    for n_r in (96, 384):
+        g = make_grid(2.0, -2.0, 2.0, n_r, 2 * n_r)
+        r = g.r
+        pairs += [pytest.param((r[-1], g.z_min, r[-2], g.z_min), id=f"z-wall-{n_r}"),
+                  pytest.param((r[-1], g.z_min, g.r_max, g.z[0]), id=f"corner-{n_r}")]
+    return pairs
 
 
 class TestNumpyAgainstScipy:
@@ -350,6 +378,14 @@ class TestNumpyAgainstScipy:
             want = float((2 / k - k) * mpmath.ellipk(mm)
                          - (2 / k) * mpmath.ellipe(mm)) / (2 * np.pi)
         assert abs(got - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("pair", near_singular_pairs())
+    def test_green_psi_near_singular_against_mpmath(self, pair):
+        # 1 - m cancels here; the AGM takes it as ((r-r')^2 + (z-z')^2)/d^2
+        r, z, rs, zs = pair
+        got = biot_savart._green_psi(np.array([r]), z, rs, zs)[0]
+        want = mpmath_green_psi(r, z, rs, zs)
+        assert abs(got - want) <= 1e-15 * want
 
     @pytest.mark.parametrize("n_r", [8, 96])
     def test_radial_eigenpairs(self, n_r):

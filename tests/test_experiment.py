@@ -446,17 +446,32 @@ class TestCli:
         assert captured.err.startswith("error: ")
         assert "nan" not in captured.out
 
-    def test_norms_of_non_finite_snapshot_exit_2(self, tmp_path, capsys):
+    @staticmethod
+    def non_finite_snapshot(tmp_path, role):
         snap = str(tmp_path / "snap")
         g = make_grid(2.0, -2.0, 2.0, 20, 40)
         vals = np.ones((20, 40))
         vals[7, 3] = np.nan
-        save_field(snap, ScalarField(g, vals, "q_omega_over_r"))
-        assert cli.main(["norms", "--snapshot", snap,
-                         "--p", "1.5", "--q", "1"]) == 2
+        save_field(snap, ScalarField(g, vals, role))
+        return snap
+
+    @pytest.mark.parametrize("args", [["--p", "2"], ["--p", "inf", "--q", "inf"],
+                                      ["--p", "1.5", "--q", "1"]],
+                             ids=["lebesgue", "lorentz-inf", "lorentz"])
+    def test_norms_of_non_finite_snapshot_exit_2(self, tmp_path, capsys, args):
+        snap = self.non_finite_snapshot(tmp_path, "q_omega_over_r")
+        assert cli.main(["norms", "--snapshot", snap] + args) == 2
         captured = capsys.readouterr()
-        assert "field is not finite" in captured.err
+        assert f"{snap}.bin: field is not finite" in captured.err
         assert "lorentz" not in captured.out
+        assert "lebesgue" not in captured.out
+
+    def test_reconstruct_of_non_finite_snapshot_exit_2(self, tmp_path, capsys):
+        snap = self.non_finite_snapshot(tmp_path, "omega_theta")
+        vel = str(tmp_path / "vel")
+        assert cli.main(["reconstruct", "--snapshot", snap, "--out", vel]) == 2
+        assert f"{snap}.bin: field is not finite" in capsys.readouterr().err
+        assert not os.path.exists(vel)
 
     def test_reconstruct_writes_velocity(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.txt"

@@ -6,8 +6,8 @@ from .grid import (GridSpec, ScalarField, VelocityField, cylindrical_integral,
 from .norms import (LorentzIndex, RearrangementProfile, lebesgue_norm,
                     lorentz_norm, mixed_norm, rearrange)
 from .biot_savart import KernelTable, ur_over_r, velocity_from_vorticity
-from .evolution import (SimConfig, SimState, advance_omega_direct, advance_q,
-                        cfl_dt, initial_state, run, step)
+from .evolution import (RunFailed, SimConfig, SimState, advance_omega_direct,
+                        advance_q, cfl_dt, initial_state, run, step)
 from .experiment import (ExperimentConfig, InitialData, build_initial,
                          format_config, parse_config, run_experiment)
 
@@ -18,7 +18,7 @@ __all__ = [
     "lorentz_norm", "mixed_norm",
     "KernelTable", "velocity_from_vorticity", "ur_over_r",
     "SimConfig", "SimState", "cfl_dt", "advance_q", "advance_omega_direct",
-    "step", "run", "initial_state",
+    "step", "run", "initial_state", "RunFailed",
     "ExperimentConfig", "InitialData", "build_initial", "parse_config",
     "format_config", "run_experiment",
 ]

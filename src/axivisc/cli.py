@@ -1,6 +1,7 @@
 """Command line interface: run / norms / reconstruct / check.
 
-Exit codes: 0 success, 1 a verification check failed, 2 usage or I/O error.
+Exit codes: 0 success, 1 a verification check failed or the run failed
+part-way, 2 usage or I/O error.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import sys
 
 from . import diagnostics, norms
 from .biot_savart import KernelTable, velocity_from_vorticity
+from .evolution import RunFailed
 from .experiment import (ExperimentConfig, load_state, parse_config, run_checks,
                          run_experiment)
 from .grid import load_field, save_field
@@ -61,7 +63,11 @@ def _cmd_run(args) -> int:
             cfg = parse_config(fh.read())
     else:
         cfg = ExperimentConfig()
-    _, verdicts = run_experiment(cfg, out_dir=args.out)
+    try:
+        _, verdicts = run_experiment(cfg, out_dir=args.out)
+    except RunFailed as exc:
+        print(f"error: run failed at {exc}", file=sys.stderr)
+        return 1
     for v in verdicts:
         print(v.line())
     return 0 if all(v.passed is not False for v in verdicts) else 1

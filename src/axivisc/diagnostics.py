@@ -287,11 +287,16 @@ def dr_omega_monitor(records: list[DiagnosticsRecord]) -> CheckResult:
 # ---------------------------------------------------------------------------
 # CSV persistence: one row per output time, 17 significant digits
 
+CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
+
+
+def format_row(r: DiagnosticsRecord) -> str:
+    """One CSV line of a record, newline included."""
+    return ",".join(_fmt(getattr(r, c)) for c in CSV_COLUMNS) + "\n"
+
+
 def format_csv(records: list[DiagnosticsRecord]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for r in records:
-        lines.append(",".join(_fmt(getattr(r, c)) for c in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+    return CSV_HEADER + "".join(format_row(r) for r in records)
 
 
 def parse_csv(text: str) -> list[DiagnosticsRecord]:

@@ -391,8 +391,16 @@ def step(state: SimState, config: SimConfig, kt: KernelTable,
 class RunResult:
     records: list                      # DiagnosticsRecord per output time
     sup_q_per_step: np.ndarray         # sup|q| after every step, index 0 = initial
-    snapshots: dict                    # time -> SimState landed on exactly
     final_state: SimState
+
+
+class RunFailed(Exception):
+    """A run stopped part-way: step `step_index`, which started from time t,
+    or the record of its state raised for `reason`."""
+
+    def __init__(self, step_index: int, t: float, reason: str):
+        super().__init__(f"step {step_index} from t = {t!r}: {reason}")
+        self.step_index, self.t, self.reason = step_index, t, reason
 
 
 def snapshot_targets(t_end: float, snapshot_times: tuple) -> list[float]:
@@ -405,28 +413,51 @@ def snapshot_targets(t_end: float, snapshot_times: tuple) -> list[float]:
     return targets
 
 
+def _discard(record, landed):
+    """The on_record of a run whose caller keeps only the RunResult."""
+
+
 def run(config: SimConfig, q0: ScalarField, kt: KernelTable,
-        snapshot_times: tuple = ()) -> RunResult:
+        snapshot_times: tuple = (), on_record=_discard) -> RunResult:
     """Advance to t_end, collecting diagnostics at the configured cadence.
 
     The steps land on each snapshot time and on t_end in turn; a record is
-    taken every `cadence` steps and on every landing.  step() carries the
-    running integrals, so the record of a given step is the same whatever
-    the cadence.  A row between landings may be of a state that lags in
-    transport; every snapshot has zero lag.  The loop is fully
-    deterministic for a given config and initial field.
+    taken every `cadence` steps and on every landing.  Each record is passed
+    to on_record(record, landed) as soon as it is taken, with the state when
+    the run landed on it (t = 0, every snapshot time, t_end) and None
+    otherwise; run keeps the records but no state except the final one, so
+    a caller that writes each landed state and drops it holds no more
+    fields however many snapshot times there are.
+
+    step() carries the running integrals, so the record of a given step is
+    the same whatever the cadence.  A row between landings may be of a state
+    that lags in transport; every landed state has zero lag.  The loop is
+    fully deterministic for a given config and initial field.  A ValueError
+    or ArithmeticError from a step or a record (such as cfl_dt's non-finite
+    velocity) raises RunFailed naming the step; on_record has then been
+    given every record taken before it.
     """
-    state = initial_state(q0, config, kt)
-    records = [diagnostics.compute_record(state, first=None)]
+    targets = snapshot_targets(config.t_end, snapshot_times)
+    try:
+        state = initial_state(q0, config, kt)
+        records = [diagnostics.compute_record(state, first=None)]
+    except (ValueError, ArithmeticError) as exc:
+        raise RunFailed(0, 0.0, str(exc)) from exc
     sup_q = [float(np.max(np.abs(state.q.values)))]
-    snaps = {0.0: state}
-    for target in snapshot_targets(config.t_end, snapshot_times):
+    on_record(records[0], state)
+    for target in targets:
         while state.t < target - _EPS_T:
-            state = step(state, config, kt, land_at=target)
+            n, t = state.step_index + 1, state.t
+            try:
+                state = step(state, config, kt, land_at=target)
+                landed = state.t == target
+                record = (diagnostics.compute_record(state, first=records[0])
+                          if state.step_index % config.cadence == 0 or landed
+                          else None)
+            except (ValueError, ArithmeticError) as exc:
+                raise RunFailed(n, t, str(exc)) from exc
             sup_q.append(float(np.max(np.abs(state.q.values))))
-            landed = state.t == target
-            if state.step_index % config.cadence == 0 or landed:
-                records.append(diagnostics.compute_record(state, first=records[0]))
-            if landed:
-                snaps[target] = state
-    return RunResult(records, np.asarray(sup_q), snaps, state)
+            if record is not None:
+                records.append(record)
+                on_record(record, state if landed else None)
+    return RunResult(records, np.asarray(sup_q), state)

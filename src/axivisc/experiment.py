@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import get_type_hints
@@ -10,8 +11,8 @@ import numpy as np
 
 from . import diagnostics
 from .biot_savart import KernelTable, velocity_from_vorticity
-from .evolution import (RUNNING_INTEGRALS, RunResult, SimConfig, SimState, run,
-                        snapshot_targets)
+from .evolution import (RUNNING_INTEGRALS, RunFailed, RunResult, SimConfig,
+                        SimState, run, snapshot_targets)
 from .grid import (GridSpec, ScalarField, _atomic_write, load_field, load_header,
                    make_grid, save_field)
 
@@ -32,6 +33,11 @@ class InitialData:
         if self.kind not in _PROFILES:
             raise ValueError(f"kind must be one of {tuple(_PROFILES)}, "
                              f"got {self.kind!r}")
+        # a NaN would slip past the margin check, which compares against it
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         for key in ("sigma", "patch_radius"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}")
@@ -175,7 +181,20 @@ def format_config(cfg: ExperimentConfig) -> str:
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                    kt: KernelTable | None = None) -> tuple[RunResult, list]:
-    """Execute the configured run, write CSV/snapshots, return result + verdicts."""
+    """Execute the configured run, writing its directory as the run reaches
+    each output; return the result and the verdicts.
+
+    Everything is validated before the directory is made, so a rejected
+    config writes nothing.  Then config.txt and the CSV header are written;
+    each record is appended to diagnostics.csv and flushed as run() takes
+    it, and each landed state is saved at once as a q/omega snapshot pair,
+    so no state outlives its write.  summary.txt, with the verdicts, comes
+    last; a summary.txt left by an earlier run is removed first, so a run
+    directory without one holds a run that did not finish.  A run that
+    fails part-way (RunFailed) leaves the rows taken so far and a
+    summary.txt naming the failing step, its t and the reason, and the
+    RunFailed propagates.
+    """
     out = out_dir if out_dir is not None else cfg.out_dir
     _check_snapshot_names([0.0] + snapshot_targets(cfg.t_end, cfg.snapshot_times))
     if kt is None:
@@ -183,21 +202,34 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     q0 = build_initial(cfg.initial, cfg.grid())
     sim = cfg.sim_config()
     os.makedirs(out, exist_ok=True)
-    result = run(sim, q0, kt=kt, snapshot_times=cfg.snapshot_times)
-
+    summary = os.path.join(out, "summary.txt")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(summary)
     _atomic_write(os.path.join(out, "config.txt"),
                   format_config(cfg).encode("utf-8"))
-    _atomic_write(os.path.join(out, "diagnostics.csv"),
-                  diagnostics.format_csv(result.records).encode("utf-8"))
-    for t, state in sorted(result.snapshots.items()):
-        q_path, omega_path = snapshot_paths(out, t)
-        save_field(q_path, state.q, time=t)
-        save_field(omega_path, state.omega, time=t,
-                   extra={k: getattr(state, k) for k in RUNNING_INTEGRALS})
+
+    with open(os.path.join(out, "diagnostics.csv"), "wb") as csv_file:
+        csv_file.write(diagnostics.CSV_HEADER.encode("utf-8"))
+        csv_file.flush()
+
+        def on_record(record, landed):
+            csv_file.write(diagnostics.format_row(record).encode("utf-8"))
+            csv_file.flush()
+            if landed is not None:
+                q_path, omega_path = snapshot_paths(out, landed.t)
+                save_field(q_path, landed.q, time=landed.t)
+                save_field(omega_path, landed.omega, time=landed.t,
+                           extra={k: getattr(landed, k) for k in RUNNING_INTEGRALS})
+
+        try:
+            result = run(sim, q0, kt=kt, snapshot_times=cfg.snapshot_times,
+                         on_record=on_record)
+        except RunFailed as exc:
+            _atomic_write(summary, f"run: FAIL at {exc}\n".encode("utf-8"))
+            raise
 
     verdicts = run_checks(result.records)
-    _atomic_write(os.path.join(out, "summary.txt"),
-                  ("".join(v.line() + "\n" for v in verdicts)).encode("utf-8"))
+    _atomic_write(summary, ("".join(v.line() + "\n" for v in verdicts)).encode("utf-8"))
     return result, verdicts
 
 

@@ -23,6 +23,14 @@ def gaussian_q0(g, amp=1.0, r0=0.5, z0=0.0, sigma=0.15):
                        "q_omega_over_r")
 
 
+def keep_landed(snapshots: dict):
+    """A run on_record that keeps each landed state in snapshots, by its t."""
+    def on_record(record, landed):
+        if landed is not None:
+            snapshots[landed.t] = landed
+    return on_record
+
+
 @pytest.fixture(scope="module")
 def small():
     g = make_grid(2.0, -2.0, 2.0, 24, 48)
@@ -443,9 +451,11 @@ class TestMultirate:
     def test_landed_states_do_not_lag(self, small, direct):
         g, kt = small
         cfg = SimConfig(g, t_end=0.03, evolve_omega_direct=direct)
-        res = run(cfg, gaussian_q0(g), kt, snapshot_times=(0.002, 0.02))
-        assert sorted(res.snapshots) == [0.0, 0.002, 0.02, 0.03]
-        for t, st in res.snapshots.items():
+        snapshots = {}
+        run(cfg, gaussian_q0(g), kt, snapshot_times=(0.002, 0.02),
+            on_record=keep_landed(snapshots))
+        assert sorted(snapshots) == [0.0, 0.002, 0.02, 0.03]
+        for t, st in snapshots.items():
             assert st.t == t and st.lag == 0.0
 
 
@@ -460,9 +470,11 @@ class TestRun:
     def test_hits_t_end_and_snapshots_exactly(self, small):
         g, kt = small
         cfg = SimConfig(g, t_end=0.02)
-        res = run(cfg, gaussian_q0(g), kt, snapshot_times=(0.01,))
+        snapshots = {}
+        res = run(cfg, gaussian_q0(g), kt, snapshot_times=(0.01,),
+                  on_record=keep_landed(snapshots))
         assert res.final_state.t == 0.02
-        assert set(res.snapshots) == {0.0, 0.01, 0.02}
+        assert set(snapshots) == {0.0, 0.01, 0.02}
 
     @pytest.mark.parametrize("times, near", [((0.01, 0.01 + 1e-13), "0.01 and"),
                                              ((1e-13,), "0.0 and 1e-13")])

@@ -3,14 +3,17 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from axivisc import cli, norms
+from axivisc import cli, evolution, norms
+from axivisc.biot_savart import KernelTable, velocity_from_vorticity
+from axivisc.diagnostics import CSV_HEADER, parse_csv
 from axivisc.evolution import SimConfig
 from axivisc.experiment import (ExperimentConfig, InitialData, build_initial,
-                                format_config, parse_config,
+                                format_config, parse_config, run_experiment,
                                 support_margin_violation)
 from axivisc.grid import ScalarField, load_field, make_grid, save_field
 
@@ -361,6 +364,8 @@ class TestCli:
 
     @pytest.mark.parametrize("line, message", [
         ("r0 = 1.9", "margin"),
+        ("amplitude = nan", "amplitude must be finite"),
+        ("sigma = inf", "sigma must be finite"),
     ])
     def test_rejected_run_exit_2_before_writing(self, tmp_path, capsys,
                                                 line, message):
@@ -473,6 +478,64 @@ class TestCli:
         assert f"{snap}.bin: field is not finite" in capsys.readouterr().err
         assert not os.path.exists(vel)
 
+    def test_run_failing_part_way_leaves_rows_and_exit_1(self, tmp_path, capsys,
+                                                          monkeypatch):
+        good, out = str(tmp_path / "good"), str(tmp_path / "out")
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text(tiny_config_text(good, t_end=0.04))
+        assert cli.main(["run", "--config", str(cfg_file)]) == 0
+        with open(os.path.join(good, "diagnostics.csv")) as fh:
+            good_lines = fh.read().splitlines(keepends=True)
+        capsys.readouterr()
+
+        calls = []
+
+        def velocity_failing_at_step_3(omega, kt):
+            calls.append(None)
+            if len(calls) == 4:     # one solve for the initial state, then one per step
+                raise ValueError("velocity field is not finite")
+            return velocity_from_vorticity(omega, kt)
+
+        monkeypatch.setattr(evolution, "velocity_from_vorticity",
+                            velocity_failing_at_step_3)
+        cfg_file.write_text(tiny_config_text(out, t_end=0.04))
+        assert cli.main(["run", "--config", str(cfg_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: run failed at step 3 from t = ")
+
+        # cadence 2: the header, then the rows of steps 0 and 2, as the good
+        # run wrote them
+        with open(os.path.join(out, "diagnostics.csv")) as fh:
+            text = fh.read()
+        assert text == "".join(good_lines[:3])
+        step_2 = parse_csv(text)[-1]
+        assert step_2.step_index == 2
+        with open(os.path.join(out, "summary.txt")) as fh:
+            assert fh.read() == (f"run: FAIL at step 3 from t = {step_2.t!r}: "
+                                 "velocity field is not finite\n")
+        with open(os.path.join(out, "config.txt")) as fh:
+            assert parse_config(fh.read()) == parse_config(cfg_file.read_text())
+        assert sorted(n for n in os.listdir(out) if n.endswith(".bin")) == [
+            "omega_t0.000000.bin", "q_t0.000000.bin"]
+
+    def test_rerun_removes_stale_summary_first(self, tmp_path, capsys, monkeypatch):
+        # a summary.txt is written last, so a run that dies leaves none
+        out = str(tmp_path / "out")
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text(tiny_config_text(out))
+        assert cli.main(["run", "--config", str(cfg_file)]) == 0
+
+        def killed(*args, **kwargs):
+            assert not os.path.exists(os.path.join(out, "summary.txt"))
+            with open(os.path.join(out, "diagnostics.csv")) as fh:
+                assert fh.read() == CSV_HEADER
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(evolution, "initial_state", killed)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["run", "--config", str(cfg_file)])
+        assert not os.path.exists(os.path.join(out, "summary.txt"))
+
     def test_reconstruct_writes_velocity(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.txt"
         out = str(tmp_path / "out")
@@ -487,6 +550,32 @@ class TestCli:
         assert ur.role == "u_r"
         assert np.abs(ur.values).max() > 0
 
+
+
+class TestStreamedOutput:
+    def test_peak_memory_does_not_grow_with_snapshot_times(self, tmp_path):
+        # each landed state is written as it is reached and dropped; of the
+        # 20-time run's 20 extra landings only their records, about 2 kB
+        # each, stay until the run ends
+        kt = KernelTable()
+
+        def peak(snapshot_times):
+            cfg = ExperimentConfig(initial=InitialData(kind="ring_pair", separation=0.25),
+                                   n_r=48, n_z=96, t_end=0.01,
+                                   snapshot_times=snapshot_times)
+            out = str(tmp_path / f"{len(snapshot_times)}_times")
+            # an untraced run first builds what a repeated run finds ready:
+            # the velocity solver and the diffusion inverses of its steps
+            run_experiment(cfg, out_dir=out, kt=kt)
+            tracemalloc.start()
+            try:
+                run_experiment(cfg, out_dir=out, kt=kt)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        twenty = peak(tuple(0.0005 * k for k in range(1, 21)))
+        assert abs(twenty - peak(())) <= 2 * 48 * 96 * 8
 
 
 class TestImports:

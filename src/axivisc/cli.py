@@ -123,7 +123,7 @@ def _cmd_check(args) -> int:
     state = load_state(args.out, final.t, final.step_index, KernelTable())
     first = records[0] if len(records) > 1 else None
     replay = diagnostics.compute_record(state, first=first)
-    if diagnostics.format_csv([replay]) != diagnostics.format_csv([final]):
+    if diagnostics.format_row(replay) != diagnostics.format_row(final):
         print("replay: FAIL (final CSV row does not match snapshot)")
         failed = True
     else:

@@ -295,10 +295,6 @@ def format_row(r: DiagnosticsRecord) -> str:
     return ",".join(_fmt(getattr(r, c)) for c in CSV_COLUMNS) + "\n"
 
 
-def format_csv(records: list[DiagnosticsRecord]) -> str:
-    return CSV_HEADER + "".join(format_row(r) for r in records)
-
-
 def parse_csv(text: str) -> list[DiagnosticsRecord]:
     """Records of a diagnostics CSV; ValueError if it has no rows, or a row
     with the wrong number of fields or a non-numeric one (naming the line)."""

@@ -74,10 +74,10 @@ class SimConfig:
     def __post_init__(self):
         if not (0 < self.dt_cfl_factor <= 1):
             raise ValueError(f"dt_cfl_factor must be in (0,1], got {self.dt_cfl_factor}")
-        if self.eps_h < 0:
-            raise ValueError(f"eps_h must be >= 0, got {self.eps_h}")
-        if self.t_end < 0:
-            raise ValueError(f"t_end must be >= 0, got {self.t_end}")
+        if not 0 <= self.eps_h < np.inf:
+            raise ValueError(f"eps_h must be finite and >= 0, got {self.eps_h}")
+        if not 0 <= self.t_end < np.inf:
+            raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
         if self.cadence < 1:
             raise ValueError(f"cadence must be >= 1, got {self.cadence}")
 
@@ -311,12 +311,11 @@ def cfl_dt(state: SimState, config: SimConfig, substeps: int = 1) -> float:
 
 
 def advance_q(q: ScalarField, u: VelocityField, dt: float,
-              eps_h: float = 0.0, transport: float | None = None) -> ScalarField:
-    """One split step: transport by u over `transport` (dt if None, none if
-    0), then implicit vertical diffusion (+ eps_h term) over dt."""
+              eps_h: float, transport: float) -> ScalarField:
+    """One split step: transport by u over `transport` (none if 0), then
+    implicit vertical diffusion (+ eps_h term) over dt."""
     g = q.grid
-    tr = dt if transport is None else transport
-    vals = _advect(q, u, tr) if tr else q.values
+    vals = _advect(q, u, transport) if transport else q.values
     vals = _diffuse_z(vals, g, dt)
     if eps_h > 0:
         vals = vals + dt * eps_h * _horizontal_laplacian(vals, g)
@@ -324,20 +323,19 @@ def advance_q(q: ScalarField, u: VelocityField, dt: float,
 
 
 def advance_omega_direct(omega: ScalarField, u: VelocityField, dt: float,
-                         eps_h: float = 0.0,
-                         transport: float | None = None) -> ScalarField:
+                         eps_h: float, transport: float) -> ScalarField:
     """Direct omega step: advection and integrating-factor stretching over
-    `transport` (dt if None, none if 0), then diffusion (+ eps_h term,
+    `transport` (none if 0), then diffusion (+ eps_h term,
     r * Delta_h(omega / r): the q equation's operator) over dt.
 
     The stretching factor exp(transport * u^r/r) uses u frozen at step
     start, so positivity of omega is preserved exactly.
     """
     g = omega.grid
-    tr = dt if transport is None else transport
     vals = omega.values
-    if tr:
-        vals = _advect(omega, u, tr) * np.exp(tr * u.u_r.values / g.r[:, None])
+    if transport:
+        vals = (_advect(omega, u, transport)
+                * np.exp(transport * u.u_r.values / g.r[:, None]))
     vals = _diffuse_z(vals, g, dt)
     if eps_h > 0:
         r = g.r[:, None]

@@ -41,10 +41,6 @@ class RearrangementProfile:
     measures: np.ndarray    # positive cell measures, same order
     cumulative: np.ndarray  # prefix sums of measures
 
-    @property
-    def total_measure(self) -> float:
-        return float(self.cumulative[-1])
-
     @functools.cached_property
     def n_positive(self) -> int:
         """Length of the positive prefix of values: the count of nonzero

@@ -6,10 +6,10 @@ import pytest
 
 from axivisc import norms
 from axivisc.biot_savart import KernelTable, ur_over_r
-from axivisc.diagnostics import (CSV_COLUMNS, CheckResult, DiagnosticsRecord,
-                                 _ratio, compute_record, dr_omega_monitor,
-                                 energy_check, format_csv, growth_check,
-                                 lemma_lp_check,
+from axivisc.diagnostics import (CSV_COLUMNS, CSV_HEADER, CheckResult,
+                                 DiagnosticsRecord, _ratio, compute_record,
+                                 dr_omega_monitor, energy_check, format_row,
+                                 growth_check, lemma_lp_check,
                                  max_principle_check, parse_csv, sqrt_t_check)
 from axivisc.evolution import SimConfig, initial_state, run, step
 from axivisc.experiment import InitialData, build_initial
@@ -460,7 +460,7 @@ class TestCsv:
             vals["step_index"] = k
             vals["t"] = 0.1 * k
             recs.append(DiagnosticsRecord(**vals))
-        back = parse_csv(format_csv(recs))
+        back = parse_csv(CSV_HEADER + "".join(map(format_row, recs)))
         assert back == recs
 
     def test_header_checked(self):

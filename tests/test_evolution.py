@@ -6,7 +6,7 @@ from scipy.linalg import solve_banded
 
 from axivisc import evolution
 from axivisc.biot_savart import KernelTable, velocity_from_vorticity
-from axivisc.diagnostics import compute_record, format_csv
+from axivisc.diagnostics import compute_record, format_row
 from axivisc.evolution import (_BLOCK_NODES, MACRO_SUBSTEPS, SimConfig,
                                SimState, _advect, _diffuse_z,
                                advance_omega_direct, advance_q, cfl_dt,
@@ -161,7 +161,7 @@ class TestBlockedAdvection:
         field_bytes = 8 * g.n_r * g.n_z
         tracemalloc.start()
         try:
-            advance_q(q, u, 1e-3)
+            advance_q(q, u, 1e-3, 0.0, 1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -277,8 +277,8 @@ class TestDiffuseZ:
 
 
 class TestTransportInterval:
-    """advance_q and advance_omega_direct transport over `transport` (dt by
-    default, none at 0), then diffuse over dt."""
+    """advance_q and advance_omega_direct transport over `transport` (none
+    at 0), then diffuse over dt."""
 
     def test_advance_q(self, small):
         g, kt = small
@@ -286,10 +286,10 @@ class TestTransportInterval:
         u = velocity_from_vorticity(
             ScalarField(g, g.r[:, None] * q.values, "omega_theta"), kt)
         dt = 0.004
-        for transport, moved in ((None, _advect(q, u, dt)), (0.0, q.values),
+        for transport, moved in ((dt, _advect(q, u, dt)), (0.0, q.values),
                                  (3 * dt, _advect(q, u, 3 * dt))):
             np.testing.assert_array_equal(
-                advance_q(q, u, dt, transport=transport).values,
+                advance_q(q, u, dt, 0.0, transport).values,
                 _diffuse_z(moved, g, dt))
 
     def test_advance_omega_direct_stretches_over_the_transport(self, small):
@@ -299,10 +299,10 @@ class TestTransportInterval:
         dt, tr = 0.004, 0.012
         stretched = _advect(omega, u, tr) * np.exp(tr * u.u_r.values / g.r[:, None])
         np.testing.assert_array_equal(
-            advance_omega_direct(omega, u, dt, transport=tr).values,
+            advance_omega_direct(omega, u, dt, 0.0, tr).values,
             _diffuse_z(stretched, g, dt))
         np.testing.assert_array_equal(
-            advance_omega_direct(omega, u, dt, transport=0.0).values,
+            advance_omega_direct(omega, u, dt, 0.0, 0.0).values,
             _diffuse_z(omega.values, g, dt))
 
 
@@ -311,7 +311,7 @@ class TestAdvanceOmegaDirect:
         g, _ = small
         omega = ScalarField(g, gaussian_q0(g).values * g.r[:, None], "omega_theta")
         u = VelocityField(zero_field(g, "u_r"), zero_field(g, "u_z"))
-        out = advance_omega_direct(omega, u, 1e-3)
+        out = advance_omega_direct(omega, u, 1e-3, 0.0, 1e-3)
         np.testing.assert_allclose(out.values,
                                    _diffuse_z(omega.values, g, 1e-3), atol=1e-14)
 
@@ -320,7 +320,7 @@ class TestAdvanceOmegaDirect:
         q = gaussian_q0(g)
         omega = ScalarField(g, g.r[:, None] * q.values, "omega_theta")
         u = velocity_from_vorticity(omega, kt)
-        out = advance_omega_direct(omega, u, 0.01)
+        out = advance_omega_direct(omega, u, 0.01, 0.0, 0.01)
         assert out.values.min() >= 0.0
 
 
@@ -352,7 +352,7 @@ class TestStep:
         assert rows[-1].twice_int_dz_u_l2_sq > 0.0
         assert rows[-1].sqrt_t_rho > 0.0
         res = run(cfg, q0, kt, snapshot_times=(0.007,))
-        assert format_csv(rows) == format_csv(res.records)
+        assert list(map(format_row, rows)) == list(map(format_row, res.records))
 
     @pytest.mark.parametrize("back", [0.0, 1e-3])
     def test_land_at_not_ahead_rejected(self, small, back):
@@ -401,7 +401,7 @@ class TestMultirate:
                 dt = min(cfl_dt(st, cfg), target - st.t)
                 new = step(st, cfg, kt, land_at=target)
                 np.testing.assert_array_equal(
-                    new.q.values, advance_q(st.q, st.u, dt, eps_h).values)
+                    new.q.values, advance_q(st.q, st.u, dt, eps_h, dt).values)
                 assert new.lag == 0.0
                 st, n = new, n + 1
         assert st.t == 0.02 and n > 3
@@ -502,7 +502,7 @@ class TestRun:
         for cadence in (1, 10, 100):
             res = run(SimConfig(g, t_end=0.7, cadence=cadence), q0, kt)
             assert res.final_state.step_index > 100
-            rows[cadence] = {r.step_index: format_csv([r]) for r in res.records}
+            rows[cadence] = {r.step_index: format_row(r) for r in res.records}
             verdicts[cadence] = [v.passed for v in run_checks(res.records)]
         shared = set(rows[1]) & set(rows[10]) & set(rows[100])
         assert len(shared) == 3      # step 0, step 100 and the final step
@@ -536,6 +536,10 @@ class TestSimConfigValidation:
         {"eps_h": -1.0},
         {"cadence": 0},
         {"t_end": -1.0},
+        {"t_end": float("nan")},
+        {"t_end": float("inf")},
+        {"eps_h": float("nan")},
+        {"eps_h": float("inf")},
     ])
     def test_rejects(self, small, kwargs):
         g, _ = small

@@ -366,6 +366,9 @@ class TestCli:
         ("r0 = 1.9", "margin"),
         ("amplitude = nan", "amplitude must be finite"),
         ("sigma = inf", "sigma must be finite"),
+        ("t_end = nan", "t_end must be finite"),
+        ("eps_h = nan", "eps_h must be finite"),
+        ("r_max = nan", "r_max must be positive and finite"),
     ])
     def test_rejected_run_exit_2_before_writing(self, tmp_path, capsys,
                                                 line, message):

@@ -35,7 +35,7 @@ class TestRearrange:
     def test_zero_field(self, grid16):
         prof = rearrange(ScalarField(grid16, np.zeros((16, 16))))
         assert np.all(prof.values == 0)
-        assert prof.total_measure == pytest.approx(
+        assert prof.cumulative[-1] == pytest.approx(
             cylindrical_integral(ScalarField(grid16, np.ones((16, 16)))))
 
     def test_two_values_sorted(self):
@@ -249,7 +249,7 @@ class TestLorentzNorm:
         # profiles share cell measures, so compare on the merged grid
         for p, q in ((1.5, 1.0), (2.0, INF)):
             assert lorentz_norm(f, (p, q)) <= lorentz_norm(g2, (p, q)) + 1e-14
-        ts = np.linspace(1e-6, prof_f.total_measure, 50)
+        ts = np.linspace(1e-6, prof_f.cumulative[-1], 50)
         fstar = _eval_star(prof_f, ts)
         gstar = _eval_star(prof_g, ts)
         assert np.all(fstar <= gstar + 1e-14)

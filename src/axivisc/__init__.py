@@ -2,10 +2,11 @@
 a priori estimate verification harness."""
 
 from .grid import (GridSpec, ScalarField, VelocityField, cylindrical_integral,
-                   ddr, ddz, divergence, load_field, make_grid, save_field)
+                   ddr, ddz, divergence, load_field, make_grid, save_field,
+                   ur_over_r)
 from .norms import (LorentzIndex, RearrangementProfile, lebesgue_norm,
                     lorentz_norm, mixed_norm, rearrange)
-from .biot_savart import KernelTable, ur_over_r, velocity_from_vorticity
+from .biot_savart import KernelTable, velocity_from_vorticity
 from .evolution import (RunFailed, SimConfig, SimState, advance_omega_direct,
                         advance_q, cfl_dt, initial_state, run, step)
 from .experiment import (ExperimentConfig, InitialData, build_initial,

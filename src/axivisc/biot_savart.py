@@ -192,11 +192,10 @@ def _green_psi(r, z, rs, zs):
     return out
 
 
-def _wall_green(grid: GridSpec) -> np.ndarray:
-    """G_psi between the wall panels, symmetric; each distinct value is
-    evaluated once (z walls by symmetry, z_max to r_max by mirror, r_max rows
-    by transpose, r_max to itself Toeplitz), the self elements last."""
-    rb, _, ds, _ = _walls(grid)
+def _wall_green(grid: GridSpec, rb: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """G_psi between the wall panels of _walls, symmetric; each distinct value
+    is evaluated once (z walls by symmetry, z_max to r_max by mirror, r_max
+    rows by transpose, r_max to itself Toeplitz), the self elements last."""
     n_r, r, z, r_max = grid.n_r, grid.r, grid.z, grid.r_max
     green = np.empty((len(rb), len(rb)))
     lo, hi, out = slice(None, n_r), slice(n_r, 2 * n_r), slice(2 * n_r, None)
@@ -245,7 +244,7 @@ def _stream_solver(grid: GridSpec, kt: KernelTable) -> StreamSolver:
         wall_modes=_dst(ends, twiddles),
         # the ghost 2g - phi adds 2 flux g / V to the r_max row of L phi
         out_wall=to_radial[:, -1] * (2.0 * flux[-1] / vol[-1]),
-        green=_wall_green(grid),
+        green=_wall_green(grid, rb, ds),
         # g = -sum G_phi d_n phi_0 r'^3 dS' = sum G_psi (r' / r^2) (2 phi_0 / h) dS'
         wall_weights=np.stack([rb * (2.0 * ds / h), 1.0 / rb ** 2]))
     kt._cache[grid] = solver
@@ -302,9 +301,3 @@ def velocity_from_vorticity(omega: ScalarField, kt: KernelTable) -> VelocityFiel
     uz *= g.r[:, None] / (2.0 * g.dr)
     uz += 2.0 * phi
     return VelocityField(ScalarField(g, ur, "u_r"), ScalarField(g, uz, "u_z"))
-
-
-def ur_over_r(u: VelocityField) -> ScalarField:
-    """Pointwise u^r / r; well defined since all nodes are off-axis."""
-    g = u.grid
-    return ScalarField(g, u.u_r.values / g.r[:, None], "derived")

@@ -57,12 +57,17 @@ def main(argv=None) -> int:
         return 2
 
 
+def _parse_file(path: str, parse):
+    """parse(the text of the file at path); a ValueError it raises names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return parse(fh.read())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+
 def _cmd_run(args) -> int:
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
-    else:
-        cfg = ExperimentConfig()
+    cfg = _parse_file(args.config, parse_config) if args.config else ExperimentConfig()
     try:
         _, verdicts = run_experiment(cfg, out_dir=args.out)
     except RunFailed as exc:
@@ -104,21 +109,15 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    csv_path = os.path.join(args.out, "diagnostics.csv")
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        records = diagnostics.parse_csv(text)
-    except ValueError as exc:
-        raise ValueError(f"{csv_path}: {exc}") from exc
+    records = _parse_file(os.path.join(args.out, "diagnostics.csv"),
+                          diagnostics.parse_csv)
     failed = False
 
     # replay the final CSV row from its snapshot and the running integrals in
-    # its header; must reproduce bit-exactly.  A missing config.txt, snapshot
-    # or header key raises naming the file: exit 2.  config.txt is parsed
+    # its header; must reproduce bit-exactly.  A missing or malformed
+    # config.txt, snapshot or header key raises naming the file: exit 2.  config.txt is parsed
     # only so that a run directory without a valid one is refused.
-    with open(os.path.join(args.out, "config.txt"), "r", encoding="utf-8") as fh:
-        parse_config(fh.read())
+    _parse_file(os.path.join(args.out, "config.txt"), parse_config)
     final = records[-1]
     state = load_state(args.out, final.t, final.step_index, KernelTable())
     first = records[0] if len(records) > 1 else None

@@ -32,9 +32,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import diagnostics
-from .biot_savart import KernelTable, ur_over_r, velocity_from_vorticity
+from .biot_savart import KernelTable, velocity_from_vorticity
 from .grid import (GridSpec, ODD_ROLES, ScalarField, VelocityField, axis_ghost,
-                   cylindrical_integral, ddz)
+                   cylindrical_integral, ddz, ur_over_r)
 
 # Step cap of the vertical diffusion, as lambda = dt/dz^2.  Backward Euler is
 # stable and monotone at any dt, so this is an accuracy cap: at lambda = 1 its
@@ -288,11 +288,11 @@ def _horizontal_laplacian(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     return d2 + d1 / grid.r[:, None]
 
 
-def cfl_dt(state: SimState, config: SimConfig, substeps: int = 1) -> float:
-    """Step size: dt_cfl_factor times the least of the advective CFL bounds
-    and `substeps` times the lesser of the diffusion accuracy cap
-    DIFFUSION_LAMBDA * dz^2 and the stability bound of the explicit eps_h
-    term.  substeps = MACRO_SUBSTEPS gives the macro step's bound."""
+def cfl_dt(state: SimState, config: SimConfig) -> tuple[float, float]:
+    """(sub-step, macro-step) bounds from one scan of u: dt_cfl_factor times
+    the least of the advective CFL bounds and cap, or MACRO_SUBSTEPS * cap,
+    where cap is the lesser of the diffusion accuracy cap DIFFUSION_LAMBDA *
+    dz^2 and the stability bound of the explicit eps_h term."""
     # max|u| is NaN or inf exactly when the component is not finite
     max_ur = np.max(np.abs(state.u.u_r.values))
     max_uz = np.max(np.abs(state.u.u_z.values))
@@ -302,12 +302,10 @@ def cfl_dt(state: SimState, config: SimConfig, substeps: int = 1) -> float:
     cap = DIFFUSION_LAMBDA * g.dz ** 2
     if config.eps_h > 0:
         cap = min(cap, 0.25 * g.dr ** 2 / config.eps_h)
-    bounds = [substeps * cap]
-    if max_ur > 0:
-        bounds.append(g.dr / max_ur)
-    if max_uz > 0:
-        bounds.append(g.dz / max_uz)
-    return config.dt_cfl_factor * min(bounds)
+    adv = min(g.dr / max_ur if max_ur > 0 else np.inf,
+              g.dz / max_uz if max_uz > 0 else np.inf)
+    f = config.dt_cfl_factor
+    return f * min(cap, adv), f * min(MACRO_SUBSTEPS * cap, adv)
 
 
 def advance_q(q: ScalarField, u: VelocityField, dt: float,
@@ -345,18 +343,19 @@ def advance_omega_direct(omega: ScalarField, u: VelocityField, dt: float,
 
 def step(state: SimState, config: SimConfig, kt: KernelTable,
          land_at: float = np.inf) -> SimState:
-    """One complete diffusion sub-step.  dt is cfl_dt capped at
-    land_at - state.t (a land_at not after state.t raises); a step ending
+    """One complete diffusion sub-step.  dt is cfl_dt's sub-step bound capped
+    at land_at - state.t (a land_at not after state.t raises); a step ending
     within _EPS_T of land_at lands on it exactly; both running integrals gain
     the step's trapezoid.
 
     The step closes the macro step, advecting over the whole lag including
     its own dt, when it lands or when one more step of its dt would take the
-    lag past cfl_dt(state, config, MACRO_SUBSTEPS); otherwise its state lags
+    lag past cfl_dt's macro-step bound; otherwise its state lags
     by one more dt.  A landed state has zero lag.
     """
     g = config.grid
-    dt = min(cfl_dt(state, config), land_at - state.t)
+    dt_sub, dt_macro = cfl_dt(state, config)
+    dt = min(dt_sub, land_at - state.t)
     if not dt > 0:
         raise ValueError(f"non-positive time step {dt!r} at t = {state.t!r}")
     t = state.t + dt
@@ -366,7 +365,7 @@ def step(state: SimState, config: SimConfig, kt: KernelTable,
     lag = state.lag + dt
     # _EPS_T of slack keeps rounding in the sum of the sub-steps from cutting
     # a macro step short
-    closes = landed or lag + dt > cfl_dt(state, config, MACRO_SUBSTEPS) + _EPS_T
+    closes = landed or lag + dt > dt_macro + _EPS_T
     transport = lag if closes else 0.0
     if config.evolve_omega_direct:
         omega = advance_omega_direct(state.omega, state.u, dt, config.eps_h,
@@ -402,9 +401,12 @@ class RunFailed(Exception):
 
 
 def snapshot_targets(t_end: float, snapshot_times: tuple) -> list[float]:
-    """Times the run lands on exactly: those in (0, t_end], plus t_end, sorted.
-    A target within _EPS_T of the one before it, or of 0, raises: run would skip it."""
-    targets = sorted(set(float(s) for s in snapshot_times if 0 < s <= t_end) | {t_end})
+    """Times the run lands on exactly: the snapshot times but 0, plus t_end, sorted.
+    A time not in [0, t_end], or within _EPS_T of the one before it or of 0, raises."""
+    for s in snapshot_times:
+        if not 0 <= s <= t_end:
+            raise ValueError(f"snapshot time {s!r} is not in [0, t_end = {t_end!r}]")
+    targets = sorted(set(float(s) for s in snapshot_times if s > 0) | {t_end})
     for prev, t in zip([0.0] + targets, targets):
         if 0 < t - prev <= _EPS_T:
             raise ValueError(f"landing times {prev!r} and {t!r} are within {_EPS_T:g}")

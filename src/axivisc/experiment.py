@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import os
-from dataclasses import dataclass, field, fields, is_dataclass
-from typing import get_type_hints
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -89,7 +88,7 @@ def build_initial(d: InitialData, g: GridSpec) -> ScalarField:
     """Initial q0 = omega0/r on the grid; rejects data leaking into the margin."""
     vals = d.amplitude * _PROFILES[d.kind](d, g.r[:, None], g.z[None, :])
     f = ScalarField(g, vals.astype(np.float64), "q_omega_over_r")
-    if d.amplitude != 0 and support_margin_violation(f):
+    if support_margin_violation(f):
         raise ValueError(
             "initial data support reaches the outer boundary margin "
             f"({MARGIN_FRACTION:.0%} of the box)")
@@ -134,24 +133,24 @@ def _parse_times(val: str) -> tuple:
     return tuple(float(s) for s in val.split(",")) if val else ()
 
 
-# declared field type -> text parser, and -> text formatter
-_PARSERS = {str: str, float: float, int: _parse_positive_int, bool: _parse_bool,
-            tuple: _parse_times}
-_FORMATTERS = {str: str, float: repr, int: str, bool: lambda v: str(v).lower(),
-               tuple: lambda ts: ",".join(repr(t) for t in ts)}
+# declared field type, as its annotation names it (this module's annotations
+# are strings), -> text parser, and -> text formatter
+_PARSERS = {"str": str, "float": float, "int": _parse_positive_int,
+            "bool": _parse_bool, "tuple": _parse_times}
+_FORMATTERS = {"str": str, "float": repr, "int": str, "bool": lambda v: str(v).lower(),
+               "tuple": lambda ts: ",".join(repr(t) for t in ts)}
 
 
 def _config_keys(cls) -> dict:
-    """Key -> declared type for the fields of cls that are not nested dataclasses."""
-    hints = get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls)
-            if not is_dataclass(hints[f.name])}
+    """Key -> declared type name for the fields of cls whose type has a
+    parser: every field but the nested InitialData."""
+    return {f.name: f.type for f in fields(cls) if f.type in _PARSERS}
 
 
 def parse_config(text: str) -> ExperimentConfig:
     initial_keys = _config_keys(InitialData)
     keys = {**initial_keys, **_config_keys(ExperimentConfig)}
-    values = {}
+    values, linenos = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -161,6 +160,9 @@ def parse_config(text: str) -> ExperimentConfig:
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in keys:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
+        if key in linenos:
+            raise ValueError(f"line {lineno}: key {key!r} repeats line {linenos[key]}")
+        linenos[key] = lineno
         try:
             values[key] = _PARSERS[keys[key]](val)
         except ValueError as exc:
@@ -170,10 +172,20 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def format_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form; parse_config(format_config(c)) == c."""
-    return "".join(f"{key} = {_FORMATTERS[typ](getattr(obj, key))}\n"
-                   for obj in (cfg.initial, cfg)
-                   for key, typ in _config_keys(type(obj)).items())
+    """Canonical text form, parse_config(format_config(c)) == c: a value that
+    its line would not read back as raises a ValueError naming the key."""
+    text = ""
+    for obj in (cfg.initial, cfg):
+        for key, typ in _config_keys(type(obj)).items():
+            value = getattr(obj, key)
+            line = f"{key} = {_FORMATTERS[typ](value)}\n"
+            with contextlib.suppress(ValueError):
+                back = parse_config(line)
+                if getattr(back.initial if obj is cfg.initial else back, key) == value:
+                    text += line
+                    continue
+            raise ValueError(f"{key} = {value!r} would not read back from config.txt")
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +208,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     RunFailed propagates.
     """
     out = out_dir if out_dir is not None else cfg.out_dir
+    sim = cfg.sim_config()
     _check_snapshot_names([0.0] + snapshot_targets(cfg.t_end, cfg.snapshot_times))
+    text = format_config(cfg)
     if kt is None:
         kt = KernelTable()
     q0 = build_initial(cfg.initial, cfg.grid())
-    sim = cfg.sim_config()
     os.makedirs(out, exist_ok=True)
     summary = os.path.join(out, "summary.txt")
     with contextlib.suppress(FileNotFoundError):
         os.remove(summary)
-    _atomic_write(os.path.join(out, "config.txt"),
-                  format_config(cfg).encode("utf-8"))
+    _atomic_write(os.path.join(out, "config.txt"), text.encode("utf-8"))
 
     with open(os.path.join(out, "diagnostics.csv"), "wb") as csv_file:
         csv_file.write(diagnostics.CSV_HEADER.encode("utf-8"))
@@ -248,11 +260,7 @@ def load_state(run_dir: str, t: float, step_index: int,
     q_path, omega_path = snapshot_paths(run_dir, t)
     q, t_saved = load_field(q_path)
     omega, _ = load_field(omega_path)
-    meta = load_header(omega_path, RUNNING_INTEGRALS)
-    try:
-        integrals = {k: float(meta[k]) for k in RUNNING_INTEGRALS}
-    except ValueError as exc:
-        raise ValueError(f"{omega_path}.hdr: {exc}") from exc
+    integrals = load_header(omega_path, dict.fromkeys(RUNNING_INTEGRALS, float))
     return SimState(t_saved, step_index, q, omega, velocity_from_vorticity(omega, kt),
                     **integrals)
 

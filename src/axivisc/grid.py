@@ -146,11 +146,16 @@ def ddz(f: ScalarField) -> ScalarField:
     return ScalarField(g, out, "derived")
 
 
+def ur_over_r(u: VelocityField) -> ScalarField:
+    """Pointwise u^r / r; well defined since all nodes are off-axis."""
+    g = u.grid
+    return ScalarField(g, u.u_r.values / g.r[:, None], "derived")
+
+
 def divergence(u: VelocityField) -> ScalarField:
     """Cylindrical divergence d_r u^r + u^r/r + d_z u^z."""
-    g = u.grid
-    vals = ddr(u.u_r).values + u.u_r.values / g.r[:, None] + ddz(u.u_z).values
-    return ScalarField(g, vals, "derived")
+    vals = ddr(u.u_r).values + ur_over_r(u).values + ddz(u.u_z).values
+    return ScalarField(u.grid, vals, "derived")
 
 
 def cylindrical_integral(f: ScalarField) -> float:
@@ -182,27 +187,30 @@ def save_field(path: str, f: ScalarField, time: float = 0.0,
     _atomic_write(path + ".bin", f.values.astype("<f8").tobytes())
 
 
-def load_header(path: str, keys: tuple) -> dict[str, str]:
-    """A snapshot's header as text values; a header without one of `keys`
-    raises a ValueError naming its file."""
+def load_header(path: str, types: dict) -> dict:
+    """The values of a snapshot header's keys named in `types` (key -> type),
+    each converted by its type; a missing key or a value its type refuses
+    raises a ValueError naming the file."""
     with open(path + ".hdr", "r", encoding="utf-8") as fh:
         meta = dict(line.strip().partition("=")[::2] for line in fh)
-    for key in keys:
-        if key not in meta:
-            raise ValueError(f"{path}.hdr: header lacks key {key!r}")
-    return meta
+    try:
+        return {key: typ(meta[key]) for key, typ in types.items()}
+    except KeyError as exc:
+        raise ValueError(f"{path}.hdr: header lacks key {exc.args[0]!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}.hdr: {exc}") from exc
 
 
 def load_field(path: str) -> tuple[ScalarField, float]:
     """Read a snapshot; a malformed or non-finite one raises a ValueError
     naming its file."""
-    meta = load_header(path, ("n_r", "n_z", "r_max", "z_min", "z_max", "role", "time"))
+    meta = load_header(path, {"n_r": int, "n_z": int, "r_max": float, "z_min": float,
+                              "z_max": float, "role": str, "time": float})
     try:
-        grid = make_grid(float(meta["r_max"]), float(meta["z_min"]),
-                         float(meta["z_max"]), int(meta["n_r"]), int(meta["n_z"]))
-        role, t = meta["role"], float(meta["time"])
-        if role not in ALL_ROLES:
-            raise ValueError(f"unknown role {role!r}")
+        grid = make_grid(meta["r_max"], meta["z_min"], meta["z_max"],
+                         meta["n_r"], meta["n_z"])
+        if meta["role"] not in ALL_ROLES:
+            raise ValueError(f"unknown role {meta['role']!r}")
     except ValueError as exc:
         raise ValueError(f"{path}.hdr: {exc}") from exc
     size = os.path.getsize(path + ".bin")
@@ -212,7 +220,7 @@ def load_field(path: str) -> tuple[ScalarField, float]:
     values = np.fromfile(path + ".bin", dtype="<f8").reshape(grid.n_r, grid.n_z)
     if not np.isfinite(values).all():
         raise ValueError(f"{path}.bin: field is not finite")
-    return ScalarField(grid, values, role), t
+    return ScalarField(grid, values, meta["role"]), meta["time"]
 
 
 def _atomic_write(path: str, data: bytes):

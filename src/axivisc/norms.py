@@ -88,13 +88,13 @@ def lebesgue_norm(f: ScalarField, p: float) -> float:
     return cylindrical_integral(ScalarField(f.grid, a ** p)) ** (1.0 / p)
 
 
-def lorentz_norm(f: ScalarField | RearrangementProfile, idx) -> float:
-    """L^{p,q} norm via closed-form integration of the step rearrangement.
+def lorentz_norm(f: ScalarField | RearrangementProfile, idx: tuple) -> float:
+    """L^{p,q} norm, idx = (p, q), via closed-form integration of the step
+    rearrangement.
 
     Pass rearrange(f) instead of f to share one sort between several norms.
     """
-    if not isinstance(idx, LorentzIndex):
-        idx = LorentzIndex(*idx)
+    idx = LorentzIndex(*idx)
     p, q = idx.p, idx.q
     if p == INF:
         return lebesgue_norm(f, INF) if isinstance(f, ScalarField) else float(f.values[0])
@@ -119,21 +119,11 @@ def lorentz_norm(f: ScalarField | RearrangementProfile, idx) -> float:
     return float(np.sum(w) ** (1.0 / q))
 
 
-def mixed_norm(f: ScalarField, p_h: float, p_v: float) -> float:
-    """Outer norm over r of the per-row L^{p_v} norm in z.
-
-    The vertical measure is plain dz; the horizontal measure for finite p_h
-    is the cylindrical weight 2*pi*r*dr.
-    """
-    if not (p_h >= 1 and p_v >= 1):
-        raise ValueError(f"need exponents >= 1, got ({p_h}, {p_v})")
-    g = f.grid
+def mixed_norm(f: ScalarField, p_v: float) -> float:
+    """Sup over r of each row's L^{p_v} norm in z, with the plain measure dz."""
+    if not p_v >= 1:
+        raise ValueError(f"need p_v >= 1, got {p_v}")
     a = np.abs(f.values)
     if p_v == INF:
-        inner = a.max(axis=1)
-    else:
-        inner = (np.sum(a ** p_v, axis=1) * g.dz) ** (1.0 / p_v)
-    if p_h == INF:
-        return float(inner.max())
-    w = 2.0 * np.pi * g.r * g.dr
-    return float(np.sum(inner ** p_h * w) ** (1.0 / p_h))
+        return float(a.max())
+    return float(((np.sum(a ** p_v, axis=1) * f.grid.dz) ** (1.0 / p_v)).max())

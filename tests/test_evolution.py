@@ -43,7 +43,8 @@ class TestCflDt:
         g, kt = small
         cfg = SimConfig(g, dt_cfl_factor=0.5)
         st = initial_state(zero_field(g, "q_omega_over_r"), cfg, kt)
-        assert cfl_dt(st, cfg) == pytest.approx(0.5 * g.dz ** 2)
+        assert cfl_dt(st, cfg) == pytest.approx(
+            (0.5 * g.dz ** 2, 0.5 * MACRO_SUBSTEPS * g.dz ** 2))
 
     def test_advective_bound_dominates(self, small):
         g, kt = small
@@ -53,14 +54,16 @@ class TestCflDt:
             ScalarField(g, np.full((g.n_r, g.n_z), 100.0), "u_r"),
             zero_field(g, "u_z"))
         st = SimState(0.0, 0, st.q, st.omega, big)
-        assert cfl_dt(st, cfg) == pytest.approx(0.9 * g.dr / 100.0)
+        # both bounds: MACRO_SUBSTEPS diffusion caps exceed dr / 100
+        assert cfl_dt(st, cfg) == pytest.approx((0.9 * g.dr / 100.0,) * 2)
 
     def test_eps_h_bound(self, small):
         g, kt = small
         cfg = SimConfig(g, eps_h=10.0)
         st = initial_state(zero_field(g, "q_omega_over_r"), cfg, kt)
+        cap = min(g.dz ** 2, 0.25 * g.dr ** 2 / 10.0)
         assert cfl_dt(st, cfg) == pytest.approx(
-            0.9 * min(g.dz ** 2, 0.25 * g.dr ** 2 / 10.0))
+            (0.9 * cap, 0.9 * MACRO_SUBSTEPS * cap))
 
     def test_nonfinite_velocity_rejected(self, small):
         g, kt = small
@@ -398,7 +401,7 @@ class TestMultirate:
         n = 0
         for target in snapshot_targets(0.02, (0.007,)):
             while st.t < target:
-                dt = min(cfl_dt(st, cfg), target - st.t)
+                dt = min(cfl_dt(st, cfg)[0], target - st.t)
                 new = step(st, cfg, kt, land_at=target)
                 np.testing.assert_array_equal(
                     new.q.values, advance_q(st.q, st.u, dt, eps_h, dt).values)
@@ -431,7 +434,7 @@ class TestMultirate:
         g, kt = cfg.grid(), KernelTable()
         q0 = build_initial(cfg.initial, g)
         t_land = 1.5 * MACRO_SUBSTEPS * cfl_dt(initial_state(q0, SimConfig(g), kt),
-                                               SimConfig(g))
+                                               SimConfig(g))[0]
         omegas = {}
         for direct in (False, True):
             sim = SimConfig(g, evolve_omega_direct=direct)
@@ -468,10 +471,11 @@ class TestRun:
         assert res.sup_q_per_step.max() == 0.0
 
     def test_hits_t_end_and_snapshots_exactly(self, small):
+        # 0 and t_end are snapshot times the run lands on anyway
         g, kt = small
         cfg = SimConfig(g, t_end=0.02)
         snapshots = {}
-        res = run(cfg, gaussian_q0(g), kt, snapshot_times=(0.01,),
+        res = run(cfg, gaussian_q0(g), kt, snapshot_times=(0.0, 0.01, 0.02),
                   on_record=keep_landed(snapshots))
         assert res.final_state.t == 0.02
         assert set(snapshots) == {0.0, 0.01, 0.02}
@@ -482,6 +486,13 @@ class TestRun:
         # the loop could not land on both times, so it would drop one
         g, kt = small
         with pytest.raises(ValueError, match=near):
+            run(SimConfig(g, t_end=0.02), gaussian_q0(g), kt, snapshot_times=times)
+
+    @pytest.mark.parametrize("times", [(0.01, -1.0), (0.03,), (float("nan"),)])
+    def test_snapshot_times_outside_run_rejected(self, small, times):
+        # the run would land on none of them, so it would save none
+        g, kt = small
+        with pytest.raises(ValueError, match=r"not in \[0, t_end = 0.02\]"):
             run(SimConfig(g, t_end=0.02), gaussian_q0(g), kt, snapshot_times=times)
 
     def test_deterministic(self, small):

@@ -151,6 +151,27 @@ class TestConfigParsing:
         assert [ln.split(" = ")[0] for ln in text.splitlines()] == CONFIG_KEYS
         assert format_config(parse_config(NON_DEFAULT_TEXT)) == NON_DEFAULT_TEXT
 
+    def test_key_given_twice_rejected(self):
+        # the later value would silently win
+        with pytest.raises(ValueError, match="line 3: key 't_end' repeats line 1"):
+            parse_config("t_end = 0.004\nn_r = 20\nt_end = 0.002\n")
+
+    @pytest.mark.parametrize("key, value", [
+        ("out_dir", "nl\ndir"), ("out_dir", "a#b"), ("out_dir", "padded "),
+        ("amplitude", np.float64(0.9))])
+    def test_run_refuses_config_that_config_txt_cannot_reproduce(self, tmp_path,
+                                                                 key, value):
+        # config.txt would read back as another config, or as none
+        cfg = ExperimentConfig(n_r=20, n_z=40, t_end=0.004,
+                               out_dir=str(tmp_path / "out"))
+        if key == "out_dir":
+            cfg.out_dir = str(tmp_path / value)
+        else:
+            cfg.initial.amplitude = value
+        with pytest.raises(ValueError, match=f"{key} = "):
+            run_experiment(cfg)
+        assert os.listdir(tmp_path) == []
+
     def test_seed_is_not_a_key(self):
         with pytest.raises(ValueError, match="unknown key 'seed'"):
             parse_config("seed = 0\n")
@@ -165,8 +186,13 @@ class TestConfigParsing:
 
 
 def tiny_config_text(out_dir, t_end=0.004, extra=""):
-    return (f"n_r = 20\nn_z = 40\nn_theta = 16\ncadence = 2\n"
-            f"t_end = {t_end}\nout_dir = {out_dir}\n{extra}")
+    """A 20x40 run's config: six lines, less those whose key `extra` sets,
+    then `extra`, as it is, since a config may give each key once."""
+    base = (f"n_r = 20\nn_z = 40\nn_theta = 16\ncadence = 2\n"
+            f"t_end = {t_end}\nout_dir = {out_dir}\n")
+    keys = {ln.split(" = ")[0] for ln in extra.splitlines()}
+    return "".join(ln for ln in base.splitlines(keepends=True)
+                   if ln.split(" = ")[0] not in keys) + extra
 
 
 def tamper_row(run_dir, column, row=-1, value=None):
@@ -261,7 +287,22 @@ class TestCli:
         cfg_file = tmp_path / "cfg.txt"
         cfg_file.write_text("n_r = -4\n")
         assert cli.main(["run", "--config", str(cfg_file)]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {cfg_file}: line 1: ")
+
+    def test_check_on_malformed_config_exit_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.txt"
+        out = str(tmp_path / "out")
+        cfg_file.write_text(tiny_config_text(out))
+        assert cli.main(["run", "--config", str(cfg_file)]) == 0
+        capsys.readouterr()
+        config_txt = os.path.join(out, "config.txt")
+        with open(config_txt, "a") as fh:
+            fh.write("bogus = 1\n")
+        assert cli.main(["check", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert "replay: PASS" not in captured.out
+        assert captured.err.startswith(
+            f"error: {config_txt}: line 21: unknown key 'bogus'")
 
     def test_run_and_check_in_path_containing_q_t(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.txt"
@@ -369,6 +410,9 @@ class TestCli:
         ("t_end = nan", "t_end must be finite"),
         ("eps_h = nan", "eps_h must be finite"),
         ("r_max = nan", "r_max must be positive and finite"),
+        ("sigma = 0.1\nsigma = 0.2", "line 8: key 'sigma' repeats line 7"),
+        ("snapshot_times = 0.01,-1", "snapshot time 0.01 is not in [0, t_end"),
+        ("snapshot_times = nan", "snapshot time nan is not in [0, t_end"),
     ])
     def test_rejected_run_exit_2_before_writing(self, tmp_path, capsys,
                                                 line, message):

@@ -113,13 +113,13 @@ def _cmd_check(args) -> int:
                           diagnostics.parse_csv)
     failed = False
 
-    # replay the final CSV row from its snapshot and the running integrals in
-    # its header; must reproduce bit-exactly.  A missing or malformed
-    # config.txt, snapshot or header key raises naming the file: exit 2.  config.txt is parsed
-    # only so that a run directory without a valid one is refused.
+    # replay the final CSV row from its snapshot and what step() carried to
+    # it, from the omega header; must reproduce bit-exactly.  A missing or
+    # malformed config.txt, snapshot or header key raises naming the file:
+    # exit 2.  config.txt is parsed only so that a bad one is refused.
     _parse_file(os.path.join(args.out, "config.txt"), parse_config)
     final = records[-1]
-    state = load_state(args.out, final.t, final.step_index, KernelTable())
+    state = load_state(args.out, final.t, KernelTable())
     first = records[0] if len(records) > 1 else None
     replay = diagnostics.compute_record(state, first=first)
     if diagnostics.format_row(replay) != diagnostics.format_row(final):

@@ -106,8 +106,8 @@ def compute_record(state, first: DiagnosticsRecord | None) -> DiagnosticsRecord:
     u = state.u
     g = q.grid
     t = state.t
-    int_uror = state.int_sup_ur_over_r
-    int_dzu2 = state.twice_int_dz_u_l2_sq
+    int_uror = state.carried.int_sup_ur_over_r
+    int_dzu2 = state.carried.twice_int_dz_u_l2_sq
     sup_uror, dz_u_sq = state.integrands
 
     sup_q, (q_l65, q_l32, q_l2), (q_lor_32_1, q_lor_65_1, q_lor_2_2, q_lor_65_65) = (
@@ -138,7 +138,7 @@ def compute_record(state, first: DiagnosticsRecord | None) -> DiagnosticsRecord:
         rho = _ratio(int_uror, math.sqrt(t) * first.q_lorentz_32_1) if t > 0 else 0.0
 
     return DiagnosticsRecord(
-        t=t, step_index=state.step_index,
+        t=t, step_index=state.carried.step_index,
         sup_q=sup_q,
         q_l65=q_l65, q_l32=q_l32, q_l2=q_l2,
         q_lorentz_32_1=q_lor_32_1,

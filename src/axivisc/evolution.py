@@ -53,10 +53,6 @@ DIFFUSION_LAMBDA = 1.0
 # 2-vCPU host), every verdict passing.
 MACRO_SUBSTEPS = 16
 
-# SimState fields holding the running time integrals; a snapshot header
-# carries them so that a saved state can be diagnosed again
-RUNNING_INTEGRALS = ("int_sup_ur_over_r", "twice_int_dz_u_l2_sq")
-
 # a step that ends within this of its landing time lands on it exactly
 _EPS_T = 1e-12
 
@@ -82,21 +78,28 @@ class SimConfig:
             raise ValueError(f"cadence must be >= 1, got {self.cadence}")
 
 
+@dataclass(frozen=True)
+class Carried:
+    """What step() carries from state to state besides the fields.  The omega
+    snapshot header holds it by field name, for load_state to read back."""
+
+    step_index: int = 0
+    # running integrals of SimState.integrands, one trapezoid per step()
+    int_sup_ur_over_r: float = 0.0
+    twice_int_dz_u_l2_sq: float = 0.0
+    lag: float = 0.0    # time not yet transported, up to one macro step
+
+
 @dataclass
 class SimState:
     """The solution at time t.  Its q and omega are transported only through
-    t - lag: inside a macro step the lag grows by each diffusion sub-step, up
-    to one macro step, and a state that step() landed on never lags."""
+    t - carried.lag, and a state that step() landed on never lags."""
 
     t: float
-    step_index: int
     q: ScalarField
     omega: ScalarField
     u: VelocityField
-    # running integrals of the integrands below, one trapezoid per step()
-    int_sup_ur_over_r: float = 0.0
-    twice_int_dz_u_l2_sq: float = 0.0
-    lag: float = 0.0              # time not yet transported
+    carried: Carried = Carried()
 
     @cached_property
     def integrands(self) -> tuple[float, float]:
@@ -113,7 +116,7 @@ def initial_state(q0: ScalarField, config: SimConfig, kt: KernelTable) -> SimSta
     g = config.grid
     omega = ScalarField(g, g.r[:, None] * q0.values, "omega_theta")
     u = velocity_from_vorticity(omega, kt)
-    return SimState(0.0, 0, q0, omega, u)
+    return SimState(0.0, q0, omega, u)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +365,7 @@ def step(state: SimState, config: SimConfig, kt: KernelTable,
     landed = abs(t - land_at) <= _EPS_T
     if landed:
         t = land_at
-    lag = state.lag + dt
+    lag = state.carried.lag + dt
     # _EPS_T of slack keeps rounding in the sum of the sub-steps from cutting
     # a macro step short
     closes = landed or lag + dt > dt_macro + _EPS_T
@@ -374,13 +377,13 @@ def step(state: SimState, config: SimConfig, kt: KernelTable,
     else:
         q = advance_q(state.q, state.u, dt, config.eps_h, transport)
         omega = ScalarField(g, g.r[:, None] * q.values, "omega_theta")
-    new = SimState(t, state.step_index + 1, q, omega,
-                   velocity_from_vorticity(omega, kt),
-                   lag=0.0 if closes else lag)
+    new = SimState(t, q, omega, velocity_from_vorticity(omega, kt))
     dt = t - state.t
     (a0, b0), (a1, b1) = state.integrands, new.integrands
-    new.int_sup_ur_over_r = state.int_sup_ur_over_r + 0.5 * dt * (a0 + a1)
-    new.twice_int_dz_u_l2_sq = state.twice_int_dz_u_l2_sq + dt * (b0 + b1)
+    c = state.carried
+    new.carried = Carried(step_index=c.step_index + 1, lag=0.0 if closes else lag,
+                          int_sup_ur_over_r=c.int_sup_ur_over_r + 0.5 * dt * (a0 + a1),
+                          twice_int_dz_u_l2_sq=c.twice_int_dz_u_l2_sq + dt * (b0 + b1))
     return new
 
 
@@ -397,7 +400,6 @@ class RunFailed(Exception):
 
     def __init__(self, step_index: int, t: float, reason: str):
         super().__init__(f"step {step_index} from t = {t!r}: {reason}")
-        self.step_index, self.t, self.reason = step_index, t, reason
 
 
 def snapshot_targets(t_end: float, snapshot_times: tuple) -> list[float]:
@@ -447,12 +449,12 @@ def run(config: SimConfig, q0: ScalarField, kt: KernelTable,
     on_record(records[0], state)
     for target in targets:
         while state.t < target - _EPS_T:
-            n, t = state.step_index + 1, state.t
+            n, t = state.carried.step_index + 1, state.t
             try:
                 state = step(state, config, kt, land_at=target)
                 landed = state.t == target
                 record = (diagnostics.compute_record(state, first=records[0])
-                          if state.step_index % config.cadence == 0 or landed
+                          if n % config.cadence == 0 or landed
                           else None)
             except (ValueError, ArithmeticError) as exc:
                 raise RunFailed(n, t, str(exc)) from exc

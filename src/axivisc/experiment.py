@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import contextlib
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import diagnostics
 from .biot_savart import KernelTable, velocity_from_vorticity
-from .evolution import (RUNNING_INTEGRALS, RunFailed, RunResult, SimConfig,
-                        SimState, run, snapshot_targets)
+from .evolution import (Carried, RunFailed, RunResult, SimConfig, SimState, run,
+                        snapshot_targets)
 from .grid import (GridSpec, ScalarField, _atomic_write, load_field, load_header,
                    make_grid, save_field)
 
@@ -26,7 +26,7 @@ class InitialData:
     z0: float = 0.0
     sigma: float = 0.15
     patch_radius: float = 0.3
-    separation: float = 0.5
+    separation: float = 0.25
 
     def __post_init__(self):
         if self.kind not in _PROFILES:
@@ -197,20 +197,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     each output; return the result and the verdicts.
 
     Everything is validated before the directory is made, so a rejected
-    config writes nothing.  Then config.txt and the CSV header are written;
-    each record is appended to diagnostics.csv and flushed as run() takes
-    it, and each landed state is saved at once as a q/omega snapshot pair,
-    so no state outlives its write.  summary.txt, with the verdicts, comes
-    last; a summary.txt left by an earlier run is removed first, so a run
-    directory without one holds a run that did not finish.  A run that
-    fails part-way (RunFailed) leaves the rows taken so far and a
-    summary.txt naming the failing step, its t and the reason, and the
-    RunFailed propagates.
+    config writes nothing.  Then config.txt, whose out_dir is the directory
+    written, and the CSV header are written; each record is appended to
+    diagnostics.csv and flushed as run() takes it, and each landed state is
+    saved at once as a q/omega snapshot pair, so no state outlives its
+    write.  summary.txt, with the verdicts, comes last; a summary.txt left by
+    an earlier run is removed first, so a run directory without one holds a
+    run that did not finish.  A run that fails part-way (RunFailed) leaves
+    the rows taken so far and a summary.txt naming the failing step, its t
+    and the reason, and the RunFailed propagates.
     """
     out = out_dir if out_dir is not None else cfg.out_dir
     sim = cfg.sim_config()
     _check_snapshot_names([0.0] + snapshot_targets(cfg.t_end, cfg.snapshot_times))
-    text = format_config(cfg)
+    text = format_config(replace(cfg, out_dir=out))
     if kt is None:
         kt = KernelTable()
     q0 = build_initial(cfg.initial, cfg.grid())
@@ -231,7 +231,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                 q_path, omega_path = snapshot_paths(out, landed.t)
                 save_field(q_path, landed.q, time=landed.t)
                 save_field(omega_path, landed.omega, time=landed.t,
-                           extra={k: getattr(landed, k) for k in RUNNING_INTEGRALS})
+                           extra=asdict(landed.carried))
 
         try:
             result = run(sim, q0, kt=kt, snapshot_times=cfg.snapshot_times,
@@ -252,17 +252,15 @@ def snapshot_paths(run_dir: str, t: float) -> tuple[str, str]:
             os.path.join(run_dir, f"omega_t{tag}"))
 
 
-def load_state(run_dir: str, t: float, step_index: int,
-               kt: KernelTable) -> SimState:
-    """The state a run saved at time t: its fields, the running integrals from
-    the omega header, and the velocity rebuilt from omega.  A run saves only
-    the states it landed on, so the state has zero transport lag."""
+def load_state(run_dir: str, t: float, kt: KernelTable) -> SimState:
+    """The state a run saved at time t: its fields, what step() carried to it
+    from the omega header, and the velocity rebuilt from omega."""
     q_path, omega_path = snapshot_paths(run_dir, t)
     q, t_saved = load_field(q_path)
     omega, _ = load_field(omega_path)
-    integrals = load_header(omega_path, dict.fromkeys(RUNNING_INTEGRALS, float))
-    return SimState(t_saved, step_index, q, omega, velocity_from_vorticity(omega, kt),
-                    **integrals)
+    types = {k: type(v) for k, v in asdict(Carried()).items()}
+    return SimState(t_saved, q, omega, velocity_from_vorticity(omega, kt),
+                    Carried(**load_header(omega_path, types)))
 
 
 def _check_snapshot_names(times: list):

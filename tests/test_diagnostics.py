@@ -314,12 +314,12 @@ def reference_record(state, first):
     speed_sq = u.u_r.values ** 2 + u.u_z.values ** 2
     sup_uror, dz_u_sq = state.integrands
     kinetic = cylindrical_integral(ScalarField(g, speed_sq))
-    int_uror = state.int_sup_ur_over_r
-    int_dzu2 = state.twice_int_dz_u_l2_sq
+    int_uror = state.carried.int_sup_ur_over_r
+    int_dzu2 = state.carried.twice_int_dz_u_l2_sq
     q_re, omega_re, dz_omega_re, dz_q_re, dr_omega_re = (
         stable_profile(f) for f in (q, omega, dz_omega, dz_q, dr_omega))
     rec = dict(
-        t=state.t, step_index=state.step_index,
+        t=state.t, step_index=state.carried.step_index,
         sup_q=float(np.max(np.abs(q.values))),
         q_l65=norms.lebesgue_norm(q, 6 / 5),
         q_l32=norms.lebesgue_norm(q, 3 / 2),
@@ -420,8 +420,8 @@ def state_pairs():
 class TestRecordMatchesReference:
 
     def test_states_cover_lag_and_landing(self, state_pairs):
-        assert state_pairs[0][1].lag > 0.0
-        assert state_pairs[1][1].lag == 0.0 and state_pairs[1][1].t == 0.004
+        assert state_pairs[0][1].carried.lag > 0.0
+        assert state_pairs[1][1].carried.lag == 0.0 and state_pairs[1][1].t == 0.004
         assert state_pairs[2][1].t == 0.0
         assert state_pairs[4][1].t == 0.004
 

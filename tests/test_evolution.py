@@ -53,7 +53,7 @@ class TestCflDt:
         big = VelocityField(
             ScalarField(g, np.full((g.n_r, g.n_z), 100.0), "u_r"),
             zero_field(g, "u_z"))
-        st = SimState(0.0, 0, st.q, st.omega, big)
+        st = SimState(0.0, st.q, st.omega, big)
         # both bounds: MACRO_SUBSTEPS diffusion caps exceed dr / 100
         assert cfl_dt(st, cfg) == pytest.approx((0.9 * g.dr / 100.0,) * 2)
 
@@ -71,7 +71,7 @@ class TestCflDt:
         st = initial_state(zero_field(g, "q_omega_over_r"), cfg, kt)
         bad = np.zeros((g.n_r, g.n_z))
         bad[0, 0] = np.nan
-        st = SimState(0.0, 0, st.q, st.omega,
+        st = SimState(0.0, st.q, st.omega,
                       VelocityField(ScalarField(g, bad, "u_r"),
                                     zero_field(g, "u_z")))
         with pytest.raises(ValueError):
@@ -405,7 +405,7 @@ class TestMultirate:
                 new = step(st, cfg, kt, land_at=target)
                 np.testing.assert_array_equal(
                     new.q.values, advance_q(st.q, st.u, dt, eps_h, dt).values)
-                assert new.lag == 0.0
+                assert new.carried.lag == 0.0
                 st, n = new, n + 1
         assert st.t == 0.02 and n > 3
 
@@ -442,7 +442,7 @@ class TestMultirate:
             lags = []
             while st.t < t_land:
                 st = step(st, sim, kt, land_at=t_land)
-                lags.append(st.lag)
+                lags.append(st.carried.lag)
             assert all(lag > 0.0 for lag in lags[:MACRO_SUBSTEPS - 1])
             assert lags[MACRO_SUBSTEPS - 1] == 0.0
             assert lags[MACRO_SUBSTEPS] > 0.0
@@ -459,7 +459,7 @@ class TestMultirate:
             on_record=keep_landed(snapshots))
         assert sorted(snapshots) == [0.0, 0.002, 0.02, 0.03]
         for t, st in snapshots.items():
-            assert st.t == t and st.lag == 0.0
+            assert st.t == t and st.carried.lag == 0.0
 
 
 class TestRun:
@@ -512,7 +512,7 @@ class TestRun:
         rows, verdicts = {}, {}
         for cadence in (1, 10, 100):
             res = run(SimConfig(g, t_end=0.7, cadence=cadence), q0, kt)
-            assert res.final_state.step_index > 100
+            assert res.final_state.carried.step_index > 100
             rows[cadence] = {r.step_index: format_row(r) for r in res.records}
             verdicts[cadence] = [v.passed for v in run_checks(res.records)]
         shared = set(rows[1]) & set(rows[10]) & set(rows[100])

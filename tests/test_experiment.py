@@ -8,13 +8,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from axivisc import cli, evolution, norms
+from axivisc import cli, evolution, experiment, norms
 from axivisc.biot_savart import KernelTable, velocity_from_vorticity
 from axivisc.diagnostics import CSV_HEADER, parse_csv
 from axivisc.evolution import SimConfig
 from axivisc.experiment import (ExperimentConfig, InitialData, build_initial,
-                                format_config, parse_config, run_experiment,
-                                support_margin_violation)
+                                format_config, load_state, parse_config,
+                                run_experiment, support_margin_violation)
 from axivisc.grid import ScalarField, load_field, make_grid, save_field
 
 # every config key, in file order, with a value different from its default
@@ -73,6 +73,14 @@ class TestBuildInitial:
         q0 = build_initial(
             InitialData(kind="ring_pair", sigma=0.1, separation=0.3), g)
         np.testing.assert_allclose(q0.values, -q0.values[:, ::-1], atol=1e-15)
+
+    @pytest.mark.parametrize("n_r, n_z", [(20, 40), (48, 96), (96, 192), (192, 384)])
+    def test_default_ring_pair_builds(self, n_r, n_z):
+        # the default separation keeps both rings clear of the margin, on
+        # the default grid and on the coarser and finer ones
+        cfg = ExperimentConfig(initial=InitialData(kind="ring_pair"), n_r=n_r, n_z=n_z)
+        q0 = build_initial(cfg.initial, cfg.grid())
+        assert q0.values.max() > 0.0 > q0.values.min()
 
     def test_unknown_kind(self):
         g = make_grid(2.0, -2.0, 2.0, 16, 16)
@@ -262,6 +270,37 @@ class TestCli:
         assert cli.main(["check", "--out", out]) == 1
         assert "replay: FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", ["0", "999"])
+    def test_check_detects_tampered_step_index(self, tmp_path, capsys, value):
+        # the replay takes the step index from the omega header, not from
+        # the row it verifies
+        cfg_file = tmp_path / "cfg.txt"
+        out = str(tmp_path / "out")
+        cfg_file.write_text(tiny_config_text(out))
+        assert cli.main(["run", "--config", str(cfg_file)]) == 0
+        capsys.readouterr()
+        tamper_row(out, "step_index", value=value)
+        assert cli.main(["check", "--out", out]) == 1
+        assert "replay: FAIL" in capsys.readouterr().out
+
+    def test_config_txt_names_the_directory_written(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.txt"
+        out = str(tmp_path / "given")
+        cfg_file.write_text(tiny_config_text(str(tmp_path / "configured")))
+        assert cli.main(["run", "--config", str(cfg_file), "--out", out]) == 0
+        with open(os.path.join(out, "config.txt")) as fh:
+            assert parse_config(fh.read()).out_dir == out
+        assert sorted(os.listdir(tmp_path)) == ["cfg.txt", "given"]
+
+    @pytest.mark.parametrize("name", ["nl\ndir", "a#b", "padded "])
+    def test_out_that_config_txt_cannot_hold_exit_2(self, tmp_path, capsys, name):
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text(tiny_config_text(str(tmp_path / "configured")))
+        assert cli.main(["run", "--config", str(cfg_file),
+                         "--out", str(tmp_path / name)]) == 2
+        assert "out_dir = " in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.txt"]
+
     def test_run_zero_t_end_single_record(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.txt"
         out = str(tmp_path / "out")
@@ -346,6 +385,7 @@ class TestCli:
         ("q", "role", "bogus"),
         ("q", "time", "x"),
         ("omega", "int_sup_ur_over_r", "zz"),
+        ("omega", "step_index", "1.5"),
     ])
     def test_check_on_malformed_header_exit_2(self, tmp_path, capsys,
                                               name, key, value):
@@ -623,6 +663,32 @@ class TestStreamedOutput:
 
         twenty = peak(tuple(0.0005 * k for k in range(1, 21)))
         assert abs(twenty - peak(())) <= 2 * 48 * 96 * 8
+
+
+class TestLoadState:
+    def test_reads_back_what_step_carried(self, tmp_path, monkeypatch):
+        # the direct omega scheme with eps_h: the steps before each landing
+        # lag, and each landed state saves its step index and integrals
+        landed_states = []
+
+        def run_keeping_landed(*args, on_record, **kwargs):
+            def keep(record, landed):
+                on_record(record, landed)
+                if landed is not None:
+                    landed_states.append(landed)
+            return evolution.run(*args, on_record=keep, **kwargs)
+
+        monkeypatch.setattr(experiment, "run", run_keeping_landed)
+        kt = KernelTable(16)
+        out = str(tmp_path / "out")
+        cfg = ExperimentConfig(n_r=20, n_z=40, n_theta=16, evolve_omega_direct=True,
+                               eps_h=0.01, t_end=0.04, snapshot_times=(0.02,))
+        run_experiment(cfg, out_dir=out, kt=kt)
+        assert [st.t for st in landed_states] == [0.0, 0.02, 0.04]
+        steps = [st.carried.step_index for st in landed_states]
+        assert steps[0] == 0 < steps[1] < steps[2]
+        for st in landed_states:
+            assert load_state(out, st.t, kt).carried == st.carried
 
 
 class TestImports:

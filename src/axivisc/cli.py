@@ -115,8 +115,8 @@ def _cmd_check(args) -> int:
 
     # replay the final CSV row from its snapshot and what step() carried to
     # it, from the omega header; must reproduce bit-exactly.  A missing or
-    # malformed config.txt, snapshot or header key raises naming the file:
-    # exit 2.  config.txt is parsed only so that a bad one is refused.
+    # malformed snapshot or header key, or a config.txt that run refuses,
+    # raises naming the file: exit 2 (config.txt is read for nothing else).
     _parse_file(os.path.join(args.out, "config.txt"), parse_config)
     final = records[-1]
     state = load_state(args.out, final.t, KernelTable())

@@ -18,7 +18,7 @@ from .grid import (GridSpec, ScalarField, _atomic_write, load_field, load_header
 SUPPORT_THRESHOLD = 1e-10   # relative cut defining the numerical support
 MARGIN_FRACTION = 0.25      # support must stay this far (x extent) from boundaries
 
-@dataclass
+@dataclass(frozen=True)
 class InitialData:
     kind: str = "gaussian_ring"
     amplitude: float = 1.0
@@ -42,7 +42,7 @@ class InitialData:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     initial: InitialData = field(default_factory=InitialData)
     r_max: float = 2.0
@@ -50,14 +50,26 @@ class ExperimentConfig:
     z_max: float = 2.0
     n_r: int = 96
     n_z: int = 192
-    n_theta: int = 64
-    dt_cfl_factor: float = 0.9
-    eps_h: float = 0.0
-    t_end: float = 1.0
-    cadence: int = 10
-    evolve_omega_direct: bool = False
+    n_theta: int = SimConfig.n_theta
+    dt_cfl_factor: float = SimConfig.dt_cfl_factor
+    eps_h: float = SimConfig.eps_h
+    t_end: float = SimConfig.t_end
+    cadence: int = SimConfig.cadence
+    evolve_omega_direct: bool = SimConfig.evolve_omega_direct
     snapshot_times: tuple = ()
     out_dir: str = "out"
+
+    def __post_init__(self):
+        """Refuse a grid, solver setting or snapshot time no run can take; the
+        solver values first, so that a NaN t_end fails before snapshot_targets."""
+        self.sim_config()
+        seen = {}
+        for t in sorted({0.0, *snapshot_targets(self.t_end, self.snapshot_times)}):
+            name = snapshot_paths("", t)[0]
+            if name in seen:
+                raise ValueError(f"snapshot times {seen[name]!r} and {t!r} share the "
+                                 f"file name {name}; space them at least 1e-6 apart")
+            seen[name] = t
 
     def grid(self) -> GridSpec:
         return make_grid(self.r_max, self.z_min, self.z_max, self.n_r, self.n_z)
@@ -147,9 +159,10 @@ def _config_keys(cls) -> dict:
     return {f.name: f.type for f in fields(cls) if f.type in _PARSERS}
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    initial_keys = _config_keys(InitialData)
-    keys = {**initial_keys, **_config_keys(ExperimentConfig)}
+def _parse_lines(text: str) -> dict:
+    """Key -> parsed value of each key=value line of text.  An unknown key, a
+    repeated key or a value that does not parse raises naming its line."""
+    keys = {**_config_keys(InitialData), **_config_keys(ExperimentConfig)}
     values, linenos = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -167,8 +180,13 @@ def parse_config(text: str) -> ExperimentConfig:
             values[key] = _PARSERS[keys[key]](val)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: key {key!r}: {exc}") from None
-    initial = InitialData(**{k: values.pop(k) for k in initial_keys if k in values})
-    return ExperimentConfig(initial=initial, **values)
+    return values
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    values = _parse_lines(text)
+    initial = {k: values.pop(k) for k in _config_keys(InitialData) if k in values}
+    return ExperimentConfig(initial=InitialData(**initial), **values)
 
 
 def format_config(cfg: ExperimentConfig) -> str:
@@ -180,8 +198,7 @@ def format_config(cfg: ExperimentConfig) -> str:
             value = getattr(obj, key)
             line = f"{key} = {_FORMATTERS[typ](value)}\n"
             with contextlib.suppress(ValueError):
-                back = parse_config(line)
-                if getattr(back.initial if obj is cfg.initial else back, key) == value:
+                if _parse_lines(line) == {key: value}:
                     text += line
                     continue
             raise ValueError(f"{key} = {value!r} would not read back from config.txt")
@@ -196,21 +213,22 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     """Execute the configured run, writing its directory as the run reaches
     each output; return the result and the verdicts.
 
-    Everything is validated before the directory is made, so a rejected
-    config writes nothing.  Then config.txt, whose out_dir is the directory
-    written, and the CSV header are written; each record is appended to
-    diagnostics.csv and flushed as run() takes it, and each landed state is
-    saved at once as a q/omega snapshot pair, so no state outlives its
-    write.  summary.txt, with the verdicts, comes last; a summary.txt left by
-    an earlier run is removed first, so a run directory without one holds a
-    run that did not finish.  A run that fails part-way (RunFailed) leaves
-    the rows taken so far and a summary.txt naming the failing step, its t
-    and the reason, and the RunFailed propagates.
+    A rejected run writes nothing: the config checks itself as it takes the
+    directory written, then config.txt must read back as it (format_config)
+    and the initial data keep clear of the margin (build_initial, which needs
+    the initial field that check never builds).  Then config.txt, whose
+    out_dir is the directory written, and the CSV header are written; each
+    record is appended to diagnostics.csv and flushed as run() takes it, and
+    each landed state is saved at once as a q/omega snapshot pair, so no
+    state outlives its write.  summary.txt, with the verdicts, comes last; a
+    summary.txt left by an earlier run is removed first, so a run directory
+    without one holds a run that did not finish.  A run that fails part-way
+    (RunFailed) leaves the rows taken so far and a summary.txt naming the
+    failing step, its t and the reason, and the RunFailed propagates.
     """
     out = out_dir if out_dir is not None else cfg.out_dir
-    sim = cfg.sim_config()
-    _check_snapshot_names([0.0] + snapshot_targets(cfg.t_end, cfg.snapshot_times))
-    text = format_config(replace(cfg, out_dir=out))
+    cfg = replace(cfg, out_dir=out)
+    text = format_config(cfg)
     if kt is None:
         kt = KernelTable()
     q0 = build_initial(cfg.initial, cfg.grid())
@@ -234,8 +252,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                            extra=asdict(landed.carried))
 
         try:
-            result = run(sim, q0, kt=kt, snapshot_times=cfg.snapshot_times,
-                         on_record=on_record)
+            result = run(cfg.sim_config(), q0, kt=kt,
+                         snapshot_times=cfg.snapshot_times, on_record=on_record)
         except RunFailed as exc:
             _atomic_write(summary, f"run: FAIL at {exc}\n".encode("utf-8"))
             raise
@@ -261,17 +279,6 @@ def load_state(run_dir: str, t: float, kt: KernelTable) -> SimState:
     types = {k: type(v) for k, v in asdict(Carried()).items()}
     return SimState(t_saved, q, omega, velocity_from_vorticity(omega, kt),
                     Carried(**load_header(omega_path, types)))
-
-
-def _check_snapshot_names(times: list):
-    """Distinct snapshot times must get distinct file names."""
-    seen = {}
-    for t in sorted(set(times)):
-        name = snapshot_paths("", t)[0]
-        if name in seen:
-            raise ValueError(f"snapshot times {seen[name]!r} and {t!r} share the "
-                             f"file name {name}; space them at least 1e-6 apart")
-        seen[name] = t
 
 
 def run_checks(records: list) -> list:

@@ -25,8 +25,10 @@ class LorentzIndex:
     q: float
 
     def __post_init__(self):
-        if not (self.p > 1 or (self.p == 1 and self.q == 1)):
+        if not self.p >= 1:
             raise ValueError(f"invalid Lorentz index p={self.p}")
+        if self.p == 1 and self.q != 1:
+            raise ValueError(f"p = 1 needs q = 1, got q = {self.q}")
         if not (1 <= self.q <= INF):
             raise ValueError(f"invalid Lorentz index q={self.q}")
         if self.p == INF and self.q != INF:

@@ -173,12 +173,29 @@ class TestConfigParsing:
         cfg = ExperimentConfig(n_r=20, n_z=40, t_end=0.004,
                                out_dir=str(tmp_path / "out"))
         if key == "out_dir":
-            cfg.out_dir = str(tmp_path / value)
+            cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / value))
         else:
-            cfg.initial.amplitude = value
+            cfg = dataclasses.replace(
+                cfg, initial=dataclasses.replace(cfg.initial, amplitude=value))
         with pytest.raises(ValueError, match=f"{key} = "):
             run_experiment(cfg)
         assert os.listdir(tmp_path) == []
+
+    def test_snapshot_time_past_t_end_refused(self):
+        with pytest.raises(ValueError, match=r"not in \[0, t_end"):
+            parse_config("t_end = 0.1\nsnapshot_times = 0.2\n")
+
+    def test_configs_are_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ExperimentConfig().t_end = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            InitialData().sigma = 0.2
+
+    def test_round_trip_of_box_below_default_z_min(self):
+        # each line alone, read against the other keys' defaults, would be
+        # no config: z_max = -3 lies below the default z_min
+        cfg = parse_config("z_min = -6\nz_max = -3\nz0 = -4.5\n")
+        assert parse_config(format_config(cfg)) == cfg
 
     def test_seed_is_not_a_key(self):
         with pytest.raises(ValueError, match="unknown key 'seed'"):
@@ -362,6 +379,31 @@ class TestCli:
         assert "share the file name" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("line", [
+        "t_end = -1.0", "dt_cfl_factor = 7.0", "n_r = 2", "r_max = nan",
+        "eps_h = -3.0", "snapshot_times = 5.0",
+        "snapshot_times = 0.0010000001,0.0010000002"])
+    def test_check_refuses_config_txt_that_run_refuses(self, tmp_path, capsys,
+                                                        line):
+        cfg_file = tmp_path / "cfg.txt"
+        out = str(tmp_path / "out")
+        cfg_file.write_text(tiny_config_text(out))
+        assert cli.main(["run", "--config", str(cfg_file)]) == 0
+        capsys.readouterr()
+        config_txt = os.path.join(out, "config.txt")
+        key = line.split(" = ")[0]
+        with open(config_txt) as fh:
+            lines = [line + "\n" if ln.startswith(key + " = ") else ln for ln in fh]
+        with open(config_txt, "w") as fh:
+            fh.writelines(lines)
+        assert cli.main(["check", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert "replay:" not in captured.out
+        assert captured.err.startswith(f"error: {config_txt}: ")
+        rerun = str(tmp_path / "rerun")
+        assert cli.main(["run", "--config", config_txt, "--out", rerun]) == 2
+        assert not os.path.exists(rerun)
+
     @pytest.mark.parametrize("damage", ["header", "bin"])
     def test_norms_on_malformed_snapshot_exit_2(self, tmp_path, capsys, damage):
         snap = str(tmp_path / "snap")
@@ -526,6 +568,15 @@ class TestCli:
         assert cli.main(["norms", "--snapshot", snap, "--q", "1"]) == 0
         lor = norms.lorentz_norm(f, (2.0, 1.0))
         assert f"lorentz p=2 q=1 {lor:.17g}" in capsys.readouterr().out
+
+    def test_norms_names_both_exponents_of_p_1_pair(self, tmp_path, capsys):
+        snap = str(tmp_path / "snap")
+        g = make_grid(2.0, -2.0, 2.0, 20, 40)
+        save_field(snap, ScalarField(g, np.ones((20, 40)), "q_omega_over_r"))
+        assert cli.main(["norms", "--snapshot", snap, "--p", "1", "--q", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "p = 1 needs q = 1, got q = 2.0" in captured.err
+        assert "lorentz" not in captured.out
 
     @pytest.mark.parametrize("args", [["--p", "nan"], ["--p", "nan", "--q", "1"],
                                       ["--p", "2", "--q", "nan"]])

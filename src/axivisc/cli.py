@@ -84,16 +84,22 @@ def _cmd_norms(args) -> int:
     if len(qs) > len(ps):
         raise ValueError(f"{len(qs)} --q values but {len(ps)} --p; each --q "
                          "pairs with the --p at its position")
+    # every exponent is checked before the snapshot is read
+    pairs = list(zip(ps, qs))
+    for pair in pairs:
+        norms.LorentzIndex(*pair)
+    lebesgue = ps[len(qs):]
+    for p in lebesgue:
+        if not p >= 1:
+            raise ValueError(f"need p >= 1, got {p}")
     f, t = load_field(args.snapshot)
     print(f"# snapshot role={f.role} t={t!r}")
-    for i, p in enumerate(ps):
-        if i < len(qs):
-            q = qs[i]
-            val = norms.lorentz_norm(f, (p, q))
-            print(f"lorentz p={p:g} q={q:g} {val:.17g}")
-        else:
-            val = norms.lebesgue_norm(f, p)
-            print(f"lebesgue p={p:g} {val:.17g}")
+    # one rearrangement shared by every Lorentz pair
+    prof = norms.rearrange(f) if pairs else None
+    for p, q in pairs:
+        print(f"lorentz p={p:g} q={q:g} {norms.lorentz_norm(prof, (p, q)):.17g}")
+    for p in lebesgue:
+        print(f"lebesgue p={p:g} {norms.lebesgue_norm(f, p):.17g}")
     return 0
 
 
@@ -109,17 +115,35 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    records = _parse_file(os.path.join(args.out, "diagnostics.csv"),
-                          diagnostics.parse_csv)
+    csv_path = os.path.join(args.out, "diagnostics.csv")
+    config_path = os.path.join(args.out, "config.txt")
+    records = _parse_file(csv_path, diagnostics.parse_csv)
+    sim = _parse_file(config_path, parse_config).sim_config()
     failed = False
 
-    # replay the final CSV row from its snapshot and what step() carried to
-    # it, from the omega header; must reproduce bit-exactly.  A missing or
-    # malformed snapshot or header key, or a config.txt that run refuses,
-    # raises naming the file: exit 2 (config.txt is read for nothing else).
-    _parse_file(os.path.join(args.out, "config.txt"), parse_config)
+    # the directory must hold the finished run that config.txt describes: a
+    # row at 0 and at every landing time (a landed state's t is the landing
+    # time, and 17 digits read back exactly) and the last row at t_end, then
+    # t_end snapshots on config.txt's grid.  A directory that is not, like a
+    # config.txt that run refuses or a missing or malformed snapshot or
+    # header key, raises naming the file: exit 2
+    times = {r.t for r in records}
+    for t in (0.0, *sim.landing_times()):
+        if t not in times:
+            raise ValueError(f"{csv_path}: no row at t = {t!r}, a landing time "
+                             f"of {config_path}")
+    if records[-1].t != sim.t_end:
+        raise ValueError(f"{csv_path}: last row at t = {records[-1].t!r}, not at "
+                         f"t_end = {sim.t_end!r} of {config_path}")
+    state = load_state(args.out, sim.t_end, KernelTable())
+    for f in (state.q, state.omega):
+        if f.grid != sim.grid:
+            raise ValueError(f"{config_path}: grid {sim.grid} is not the "
+                             f"snapshots' {f.grid}")
+
+    # replay the t_end row from its snapshot and what step() carried to it,
+    # from the omega header; must reproduce bit-exactly
     final = records[-1]
-    state = load_state(args.out, final.t, KernelTable())
     first = records[0] if len(records) > 1 else None
     replay = diagnostics.compute_record(state, first=first)
     if diagnostics.format_row(replay) != diagnostics.format_row(final):

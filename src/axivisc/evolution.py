@@ -20,8 +20,8 @@ macro step therefore carries a transport `lag`: its q is transported only
 through t - lag, up to one macro step behind t.
 
 `step` lands on a given time, and a landing always closes the macro step, so
-every state it lands on has zero lag and is complete; `run` schedules the
-landing times.
+every state it lands on has zero lag and is complete; `run` lands on
+SimConfig.landing_times() in turn.
 """
 
 from __future__ import annotations
@@ -57,8 +57,12 @@ MACRO_SUBSTEPS = 16
 _EPS_T = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
+    """What a run executes: the grid, the solver settings and the landing
+    schedule.  A setting or snapshot time no run can take raises when the
+    config is built."""
+
     grid: GridSpec
     dt_cfl_factor: float = 0.9
     n_theta: int = 64
@@ -66,6 +70,7 @@ class SimConfig:
     t_end: float = 1.0
     cadence: int = 10             # diagnostics every this many steps
     evolve_omega_direct: bool = False
+    snapshot_times: tuple = ()    # times the run lands on besides t_end
 
     def __post_init__(self):
         if not (0 < self.dt_cfl_factor <= 1):
@@ -76,6 +81,21 @@ class SimConfig:
             raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
         if self.cadence < 1:
             raise ValueError(f"cadence must be >= 1, got {self.cadence}")
+        self.landing_times()
+
+    def landing_times(self) -> list[float]:
+        """Times the run lands on exactly: the snapshot times but 0, plus
+        t_end, sorted.  A time not in [0, t_end], or within _EPS_T of the one
+        before it or of 0, raises."""
+        t_end = self.t_end
+        for s in self.snapshot_times:
+            if not 0 <= s <= t_end:
+                raise ValueError(f"snapshot time {s!r} is not in [0, t_end = {t_end!r}]")
+        targets = sorted(set(float(s) for s in self.snapshot_times if s > 0) | {t_end})
+        for prev, t in zip([0.0] + targets, targets):
+            if 0 < t - prev <= _EPS_T:
+                raise ValueError(f"landing times {prev!r} and {t!r} are within {_EPS_T:g}")
+        return targets
 
 
 @dataclass(frozen=True)
@@ -402,28 +422,15 @@ class RunFailed(Exception):
         super().__init__(f"step {step_index} from t = {t!r}: {reason}")
 
 
-def snapshot_targets(t_end: float, snapshot_times: tuple) -> list[float]:
-    """Times the run lands on exactly: the snapshot times but 0, plus t_end, sorted.
-    A time not in [0, t_end], or within _EPS_T of the one before it or of 0, raises."""
-    for s in snapshot_times:
-        if not 0 <= s <= t_end:
-            raise ValueError(f"snapshot time {s!r} is not in [0, t_end = {t_end!r}]")
-    targets = sorted(set(float(s) for s in snapshot_times if s > 0) | {t_end})
-    for prev, t in zip([0.0] + targets, targets):
-        if 0 < t - prev <= _EPS_T:
-            raise ValueError(f"landing times {prev!r} and {t!r} are within {_EPS_T:g}")
-    return targets
-
-
 def _discard(record, landed):
     """The on_record of a run whose caller keeps only the RunResult."""
 
 
 def run(config: SimConfig, q0: ScalarField, kt: KernelTable,
-        snapshot_times: tuple = (), on_record=_discard) -> RunResult:
+        on_record=_discard) -> RunResult:
     """Advance to t_end, collecting diagnostics at the configured cadence.
 
-    The steps land on each snapshot time and on t_end in turn; a record is
+    The steps land on each of config.landing_times() in turn; a record is
     taken every `cadence` steps and on every landing.  Each record is passed
     to on_record(record, landed) as soon as it is taken, with the state when
     the run landed on it (t = 0, every snapshot time, t_end) and None
@@ -439,7 +446,7 @@ def run(config: SimConfig, q0: ScalarField, kt: KernelTable,
     velocity) raises RunFailed naming the step; on_record has then been
     given every record taken before it.
     """
-    targets = snapshot_targets(config.t_end, snapshot_times)
+    targets = config.landing_times()
     try:
         state = initial_state(q0, config, kt)
         records = [diagnostics.compute_record(state, first=None)]

@@ -10,8 +10,7 @@ import numpy as np
 
 from . import diagnostics
 from .biot_savart import KernelTable, velocity_from_vorticity
-from .evolution import (Carried, RunFailed, RunResult, SimConfig, SimState, run,
-                        snapshot_targets)
+from .evolution import Carried, RunFailed, RunResult, SimConfig, SimState, run
 from .grid import (GridSpec, ScalarField, _atomic_write, load_field, load_header,
                    make_grid, save_field)
 
@@ -56,15 +55,16 @@ class ExperimentConfig:
     t_end: float = SimConfig.t_end
     cadence: int = SimConfig.cadence
     evolve_omega_direct: bool = SimConfig.evolve_omega_direct
-    snapshot_times: tuple = ()
+    snapshot_times: tuple = SimConfig.snapshot_times
     out_dir: str = "out"
 
     def __post_init__(self):
-        """Refuse a grid, solver setting or snapshot time no run can take; the
-        solver values first, so that a NaN t_end fails before snapshot_targets."""
-        self.sim_config()
+        """Refuse a grid, solver setting or snapshot time no run can take
+        (sim_config() builds the SimConfig, which checks itself), then two
+        landing times that share a snapshot file name."""
         seen = {}
-        for t in sorted({0.0, *snapshot_targets(self.t_end, self.snapshot_times)}):
+        # a set: with t_end = 0 the landing times are [0.0]
+        for t in sorted({0.0, *self.sim_config().landing_times()}):
             name = snapshot_paths("", t)[0]
             if name in seen:
                 raise ValueError(f"snapshot times {seen[name]!r} and {t!r} share the "
@@ -252,8 +252,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                            extra=asdict(landed.carried))
 
         try:
-            result = run(cfg.sim_config(), q0, kt=kt,
-                         snapshot_times=cfg.snapshot_times, on_record=on_record)
+            result = run(cfg.sim_config(), q0, kt=kt, on_record=on_record)
         except RunFailed as exc:
             _atomic_write(summary, f"run: FAIL at {exc}\n".encode("utf-8"))
             raise

@@ -98,9 +98,9 @@ def lorentz_norm(f: ScalarField | RearrangementProfile, idx: tuple) -> float:
     """
     idx = LorentzIndex(*idx)
     p, q = idx.p, idx.q
-    if p == INF:
-        return lebesgue_norm(f, INF) if isinstance(f, ScalarField) else float(f.values[0])
     prof = rearrange(f) if isinstance(f, ScalarField) else f
+    if p == INF:
+        return float(prof.values[0])
     # v = |f|* is non-negative and non-increasing: its nonzero entries are a
     # positive prefix
     n = prof.n_positive

@@ -10,7 +10,7 @@ from axivisc.diagnostics import compute_record, format_row
 from axivisc.evolution import (_BLOCK_NODES, MACRO_SUBSTEPS, SimConfig,
                                SimState, _advect, _diffuse_z,
                                advance_omega_direct, advance_q, cfl_dt,
-                               initial_state, run, snapshot_targets, step)
+                               initial_state, run, step)
 from axivisc.experiment import ExperimentConfig, build_initial, run_checks
 from axivisc.grid import (ODD_ROLES, ScalarField, VelocityField, axis_ghost,
                           cylindrical_integral, make_grid, zero_field)
@@ -341,11 +341,11 @@ class TestStep:
         # step() lands on its target and carries the running integrals, so a
         # chain of steps, recorded every step, gives run()'s rows byte for byte
         g, kt = small
-        cfg = SimConfig(g, t_end=0.02, cadence=1)
+        cfg = SimConfig(g, t_end=0.02, cadence=1, snapshot_times=(0.007,))
         q0 = gaussian_q0(g)
         st = initial_state(q0, cfg, kt)
         rows = [compute_record(st, first=None)]
-        for target in snapshot_targets(0.02, (0.007,)):
+        for target in cfg.landing_times():
             while st.t < target:
                 st = step(st, cfg, kt, land_at=target)
                 rows.append(compute_record(st, first=rows[0]))
@@ -354,7 +354,7 @@ class TestStep:
         assert rows[-1].int_sup_ur_over_r > 0.0
         assert rows[-1].twice_int_dz_u_l2_sq > 0.0
         assert rows[-1].sqrt_t_rho > 0.0
-        res = run(cfg, q0, kt, snapshot_times=(0.007,))
+        res = run(cfg, q0, kt)
         assert list(map(format_row, rows)) == list(map(format_row, res.records))
 
     @pytest.mark.parametrize("back", [0.0, 1e-3])
@@ -396,10 +396,10 @@ class TestMultirate:
         # velocity, before it diffuses: advance_q of the incoming state
         monkeypatch.setattr(evolution, "MACRO_SUBSTEPS", 1)
         g, kt = small
-        cfg = SimConfig(g, t_end=0.02, eps_h=eps_h)
+        cfg = SimConfig(g, t_end=0.02, eps_h=eps_h, snapshot_times=(0.007,))
         st = initial_state(gaussian_q0(g), cfg, kt)
         n = 0
-        for target in snapshot_targets(0.02, (0.007,)):
+        for target in cfg.landing_times():
             while st.t < target:
                 dt = min(cfl_dt(st, cfg)[0], target - st.t)
                 new = step(st, cfg, kt, land_at=target)
@@ -453,10 +453,10 @@ class TestMultirate:
     @pytest.mark.parametrize("direct", [False, True])
     def test_landed_states_do_not_lag(self, small, direct):
         g, kt = small
-        cfg = SimConfig(g, t_end=0.03, evolve_omega_direct=direct)
+        cfg = SimConfig(g, t_end=0.03, evolve_omega_direct=direct,
+                        snapshot_times=(0.002, 0.02))
         snapshots = {}
-        run(cfg, gaussian_q0(g), kt, snapshot_times=(0.002, 0.02),
-            on_record=keep_landed(snapshots))
+        run(cfg, gaussian_q0(g), kt, on_record=keep_landed(snapshots))
         assert sorted(snapshots) == [0.0, 0.002, 0.02, 0.03]
         for t, st in snapshots.items():
             assert st.t == t and st.carried.lag == 0.0
@@ -473,27 +473,28 @@ class TestRun:
     def test_hits_t_end_and_snapshots_exactly(self, small):
         # 0 and t_end are snapshot times the run lands on anyway
         g, kt = small
-        cfg = SimConfig(g, t_end=0.02)
+        cfg = SimConfig(g, t_end=0.02, snapshot_times=(0.0, 0.01, 0.02))
         snapshots = {}
-        res = run(cfg, gaussian_q0(g), kt, snapshot_times=(0.0, 0.01, 0.02),
-                  on_record=keep_landed(snapshots))
+        res = run(cfg, gaussian_q0(g), kt, on_record=keep_landed(snapshots))
         assert res.final_state.t == 0.02
         assert set(snapshots) == {0.0, 0.01, 0.02}
 
     @pytest.mark.parametrize("times, near", [((0.01, 0.01 + 1e-13), "0.01 and"),
                                              ((1e-13,), "0.0 and 1e-13")])
     def test_landing_times_within_eps_rejected(self, small, times, near):
-        # the loop could not land on both times, so it would drop one
-        g, kt = small
+        # the loop could not land on both times, so it would drop one: the
+        # config is refused when it is built
+        g, _ = small
         with pytest.raises(ValueError, match=near):
-            run(SimConfig(g, t_end=0.02), gaussian_q0(g), kt, snapshot_times=times)
+            SimConfig(g, t_end=0.02, snapshot_times=times)
 
     @pytest.mark.parametrize("times", [(0.01, -1.0), (0.03,), (float("nan"),)])
     def test_snapshot_times_outside_run_rejected(self, small, times):
-        # the run would land on none of them, so it would save none
-        g, kt = small
+        # the run would land on none of them, so it would save none: the
+        # config is refused when it is built
+        g, _ = small
         with pytest.raises(ValueError, match=r"not in \[0, t_end = 0.02\]"):
-            run(SimConfig(g, t_end=0.02), gaussian_q0(g), kt, snapshot_times=times)
+            SimConfig(g, t_end=0.02, snapshot_times=times)
 
     def test_deterministic(self, small):
         g, kt = small

@@ -190,6 +190,9 @@ class TestConfigParsing:
             ExperimentConfig().t_end = 0.5
         with pytest.raises(dataclasses.FrozenInstanceError):
             InitialData().sigma = 0.2
+        # a SimConfig checked when built cannot be given a NaN t_end after
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ExperimentConfig().sim_config().t_end = float("nan")
 
     def test_round_trip_of_box_below_default_z_min(self):
         # each line alone, read against the other keys' defaults, would be
@@ -404,6 +407,47 @@ class TestCli:
         assert cli.main(["run", "--config", config_txt, "--out", rerun]) == 2
         assert not os.path.exists(rerun)
 
+    @pytest.mark.parametrize("edit, names, message", [
+        ("killed", "diagnostics.csv", "no row at t = 0.004, a landing time of"),
+        ("n_r = 24", "config.txt", "is not the snapshots'"),
+        ("snapshot_times = 0.003", "diagnostics.csv",
+         "no row at t = 0.003, a landing time of"),
+    ], ids=["killed", "grid", "landing_time"])
+    def test_check_refuses_directory_config_txt_does_not_describe(
+            self, tmp_path, capsys, edit, names, message):
+        # each directory passes the replay and every verdict, but it is not
+        # the finished run that its config.txt describes
+        cfg_file = tmp_path / "cfg.txt"
+        out = str(tmp_path / "out")
+        cfg_file.write_text(tiny_config_text(out, extra="snapshot_times = 0.002\n"))
+        assert cli.main(["run", "--config", str(cfg_file)]) == 0
+        capsys.readouterr()
+        if edit == "killed":
+            # what a run killed just after its landing at 0.002 leaves
+            csv_path = os.path.join(out, "diagnostics.csv")
+            with open(csv_path) as fh:
+                lines = fh.read().splitlines(keepends=True)
+            kept = [ln for ln in lines[1:] if float(ln.split(",")[0]) <= 0.002]
+            assert float(kept[-1].split(",")[0]) == 0.002 and len(kept) < len(lines) - 1
+            with open(csv_path, "w") as fh:
+                fh.writelines(lines[:1] + kept)
+            for name in ("summary.txt", "q_t0.004000.bin", "q_t0.004000.hdr",
+                         "omega_t0.004000.bin", "omega_t0.004000.hdr"):
+                os.remove(os.path.join(out, name))
+        else:
+            config_txt = os.path.join(out, "config.txt")
+            key = edit.split(" = ")[0]
+            with open(config_txt) as fh:
+                lines = [edit + "\n" if ln.startswith(key + " = ") else ln
+                         for ln in fh]
+            with open(config_txt, "w") as fh:
+                fh.writelines(lines)
+        assert cli.main(["check", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert "replay:" not in captured.out
+        assert captured.err.startswith(f"error: {os.path.join(out, names)}: ")
+        assert message in captured.err
+
     @pytest.mark.parametrize("damage", ["header", "bin"])
     def test_norms_on_malformed_snapshot_exit_2(self, tmp_path, capsys, damage):
         snap = str(tmp_path / "snap")
@@ -577,6 +621,38 @@ class TestCli:
         captured = capsys.readouterr()
         assert "p = 1 needs q = 1, got q = 2.0" in captured.err
         assert "lorentz" not in captured.out
+
+    @pytest.mark.parametrize("args, message", [
+        (["--p", "1", "--q", "2"], "p = 1 needs q = 1, got q = 2.0"),
+        (["--p", "0.5"], "need p >= 1, got 0.5")], ids=["lorentz", "lebesgue"])
+    def test_norms_checks_exponents_before_reading(self, tmp_path, capsys,
+                                                   args, message):
+        missing = str(tmp_path / "missing")
+        assert cli.main(["norms", "--snapshot", missing] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_norms_rearranges_once_for_every_lorentz_pair(self, tmp_path, capsys,
+                                                          monkeypatch):
+        snap = str(tmp_path / "snap")
+        g = make_grid(2.0, -2.0, 2.0, 20, 40)
+        f = ScalarField(g, np.exp(-(g.r[:, None] - 0.5) ** 2 - g.z[None, :] ** 2),
+                        "q_omega_over_r")
+        save_field(snap, f)
+        expected = [f"lorentz p=1.5 q=1 {norms.lorentz_norm(f, (1.5, 1.0)):.17g}",
+                    f"lorentz p=2 q=inf {norms.lorentz_norm(f, (2.0, math.inf)):.17g}",
+                    f"lorentz p=inf q=inf {np.abs(f.values).max():.17g}",
+                    f"lebesgue p=2 {norms.lebesgue_norm(f, 2.0):.17g}"]
+        rearranged = []
+        rearrange = norms.rearrange
+        monkeypatch.setattr(norms, "rearrange",
+                            lambda f: rearranged.append(f) or rearrange(f))
+        assert cli.main(["norms", "--snapshot", snap, "--p", "1.5", "--q", "1",
+                         "--p", "2", "--q", "inf", "--p", "inf", "--q", "inf",
+                         "--p", "2"]) == 0
+        assert len(rearranged) == 1
+        assert capsys.readouterr().out.splitlines()[1:] == expected
 
     @pytest.mark.parametrize("args", [["--p", "nan"], ["--p", "nan", "--q", "1"],
                                       ["--p", "2", "--q", "nan"]])

@@ -141,6 +141,13 @@ def _cmd_check(args) -> int:
             raise ValueError(f"{config_path}: grid {sim.grid} is not the "
                              f"snapshots' {f.grid}")
 
+    # solve the velocity, then let the replay's own table go before the
+    # record takes its temporaries, which then reuse the table's memory: a
+    # table kept alive under them grows the heap past glibc's trim threshold,
+    # and each later replay and solve faults the trimmed pages in again
+    state.u
+    state.kt = None
+
     # replay the t_end row from its snapshot and what step() carried to it,
     # from the omega header; must reproduce bit-exactly
     final = records[-1]

@@ -60,9 +60,12 @@ class DiagnosticsRecord:
     sup_u: float
     sup_ur: float
     sup_ur_over_r: float
-    int_sup_ur_over_r: float       # running integral, one trapezoid per step
+    # running integrals, sampled by step() (three-point rule between
+    # transports, a trapezoid across each), plus the increment from the
+    # last sample when this state is not one
+    int_sup_ur_over_r: float
     dz_u_l2_sq: float
-    twice_int_dz_u_l2_sq: float    # 2 * running integral of dz_u_l2_sq, per step
+    twice_int_dz_u_l2_sq: float    # 2 * running integral of dz_u_l2_sq
     kinetic_energy: float          # ||u||_{L^2}^2
     # ratios
     energy_lhs: float
@@ -91,8 +94,9 @@ def _field_norms(f: ScalarField, ps, indices) -> tuple[float, list, list]:
     at each index, from one rearrangement (sort); f's temporaries die here.
 
     sup|f| is f*(0), max|f| bit for bit for a finite f: the record reads it
-    for q and omega, and every state has a finite omega
-    (`velocity_from_vorticity` refuses any other), hence a finite q."""
+    for q and omega, and every recorded state has a finite omega (the
+    record reads its velocity, which `velocity_from_vorticity` refuses for
+    any other), hence a finite q."""
     leb = [norms.lebesgue_norm(f, p) for p in ps]
     prof = norms.rearrange(f)
     return float(prof.values[0]), leb, [norms.lorentz_norm(prof, idx) for idx in indices]
@@ -106,8 +110,7 @@ def compute_record(state, first: DiagnosticsRecord | None) -> DiagnosticsRecord:
     u = state.u
     g = q.grid
     t = state.t
-    int_uror = state.carried.int_sup_ur_over_r
-    int_dzu2 = state.carried.twice_int_dz_u_l2_sq
+    int_uror, int_dzu2 = state.integrals
     sup_uror, dz_u_sq = state.integrands
 
     sup_q, (q_l65, q_l32, q_l2), (q_lor_32_1, q_lor_65_1, q_lor_2_2, q_lor_65_65) = (

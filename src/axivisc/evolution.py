@@ -5,28 +5,38 @@ vertical diffusion and therefore a discrete maximum principle: advection is
 semi-Lagrangian with clamped bilinear sampling (monotone), swept over the
 grid in blocks of whole r-rows so that its temporaries stay block-sized;
 vertical diffusion is backward Euler (an M-matrix solve).  omega = r*q is
-derived and the velocity is closed through the stream-function solve each
-step.  A direct omega scheme with the stretching term is kept as a
-cross-check, and an optional explicit horizontal viscosity eps_h regularizes
-the system.
+derived, and the velocity is closed through the stream-function solve
+(SimState.u) only where something reads it.  A direct omega scheme with the
+stretching term is kept as a cross-check, and an optional explicit
+horizontal viscosity eps_h regularizes the system.
 
 The splitting is multirate.  Each `step` is one diffusion sub-step of
-`cfl_dt`, with the eps_h term, a velocity solve and the running integrals'
-trapezoids, but the transport runs only once per macro step of up to
-MACRO_SUBSTEPS sub-steps: the step that closes a macro step advects q (or
-omega, with its stretching factor) over the whole macro step with its own
-incoming velocity, before its diffusion (transport last).  A state inside a
-macro step therefore carries a transport `lag`: its q is transported only
-through t - lag, up to one macro step behind t.
+`cfl_dt`, with the eps_h term, but the transport runs only once per macro
+step of up to MACRO_SUBSTEPS sub-steps: the step that closes a macro step
+advects q (or omega, with its stretching factor) over the whole macro step
+with its own incoming velocity, before its diffusion (transport last).  A
+state inside a macro step therefore carries a transport `lag`: its q is
+transported only through t - lag, up to one macro step behind t.
+
+Between two transports q changes by diffusion alone, so the velocity is
+solved only at samples: t = 0, the incoming and the closing state of every
+closing step, and interior states spaced by an error estimate (TOL).  The
+running integrals of SimState.integrands advance at each sample, by the
+three-point rule inside a transport-free segment and by one trapezoid
+across the transport jump; cfl_dt reads the last sample's max|u|.  A record
+between samples solves its velocity on demand and adds the increment from
+the last sample (SimState.integrals), and nothing flows back, so a row does
+not depend on the cadence.
 
 `step` lands on a given time, and a landing always closes the macro step, so
-every state it lands on has zero lag and is complete; `run` lands on
-SimConfig.landing_times() in turn.
+every state it lands on has zero lag, is a sample and is complete; `run`
+lands on SimConfig.landing_times() in turn.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -52,6 +62,17 @@ DIFFUSION_LAMBDA = 1.0
 # (96x192, t = 1) then takes 8.0 s against 15.4 s at M = 1 (one BLAS thread,
 # 2-vCPU host), every verdict passing.
 MACRO_SUBSTEPS = 16
+
+# Velocity sampling tolerance.  Inside a transport-free segment the next
+# sample is n sub-steps of dt after the last, n the largest up to
+# MACRO_SUBSTEPS for which the trapezoid error estimate (n dt)^3 |f''| / 12
+# of each integrand f is at most TOL * n dt * |f| (f'' from the last three
+# samples; n = 1 after the first two samples of a segment).  On the
+# reference run (96x192, t = 1) TOL = 1e-3 takes 855 velocity solves in
+# 2,560 sub-steps, and the integral columns stay within 3.1e-5 relative of
+# the same rule sampled at every sub-step; 1e-2 takes 836 solves and moves
+# them by up to 7.3e-4, 1e-4 takes 945 and moves them by 1.5e-6.
+TOL = 1e-3
 
 # a step that ends within this of its landing time lands on it exactly
 _EPS_T = 1e-12
@@ -100,43 +121,131 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Carried:
-    """What step() carries from state to state besides the fields.  The omega
+    """What step() carries from state to state besides the fields: the step
+    index, the transport lag and the last velocity sample.  The omega
     snapshot header holds it by field name, for load_state to read back."""
 
     step_index: int = 0
-    # running integrals of SimState.integrands, one trapezoid per step()
+    # running integrals of SimState.integrands from 0 to the last sample
+    # (sample_t): the three-point rule between samples of a transport-free
+    # segment, one trapezoid across each transport
     int_sup_ur_over_r: float = 0.0
     twice_int_dz_u_l2_sq: float = 0.0
     lag: float = 0.0    # time not yet transported, up to one macro step
+    # the last sample: its time, integrands and max|u_r|, max|u_z| (cfl_dt)
+    sample_t: float = 0.0
+    sup_ur_over_r: float = 0.0
+    dz_u_l2_sq: float = 0.0
+    max_ur: float = 0.0
+    max_uz: float = 0.0
+    # the sample before it in the same transport-free segment, for f'';
+    # prev_t == sample_t when the last sample opens its segment
+    prev_t: float = 0.0
+    prev_sup_ur_over_r: float = 0.0
+    prev_dz_u_l2_sq: float = 0.0
+    next_sample: int = 1    # step index of the next sample inside the segment
 
 
 @dataclass
 class SimState:
     """The solution at time t.  Its q and omega are transported only through
-    t - carried.lag, and a state that step() landed on never lags."""
+    t - carried.lag, and a state that step() landed on never lags.  The
+    velocity is solved from omega with kt when first read."""
 
     t: float
     q: ScalarField
     omega: ScalarField
-    u: VelocityField
+    kt: KernelTable | None      # None once no velocity is left to solve
     carried: Carried = Carried()
+
+    @cached_property
+    def u(self) -> VelocityField:
+        return velocity_from_vorticity(self.omega, self.kt)
 
     @cached_property
     def integrands(self) -> tuple[float, float]:
         """(sup|u^r/r|, ||dz u||_{L^2}^2) of this state, computed once and
-        shared by the trapezoids of step() and the diagnostics record."""
+        shared by the samples of step() and the diagnostics record."""
         u = self.u
         sup_uror = float(np.max(np.abs(ur_over_r(u).values)))
         dz_u_sq = cylindrical_integral(
             ScalarField(u.grid, ddz(u.u_r).values ** 2 + ddz(u.u_z).values ** 2))
         return sup_uror, dz_u_sq
 
+    @cached_property
+    def integrals(self) -> tuple[float, float]:
+        """(int_0^t sup|u^r/r|, 2 int_0^t ||dz u||^2): the carried values at
+        a sample, else those plus the increment from the last sample, which
+        solves this state's velocity and is carried nowhere."""
+        c = self.carried
+        if self.t == c.sample_t:
+            return c.int_sup_ur_over_r, c.twice_int_dz_u_l2_sq
+        (da, db), _ = _increments(c, self.t, self.integrands)
+        return c.int_sup_ur_over_r + da, c.twice_int_dz_u_l2_sq + 2.0 * db
+
+
+def _increments(c: Carried, t: float, f: tuple) -> tuple[tuple, tuple]:
+    """The integrals of both integrands from the last sample to t, where
+    they are f, and their second divided differences (0 when the last
+    sample opens its segment).  Inside a segment each is the integral of
+    the quadratic through the sample before, the last and (t, f): the
+    trapezoid minus h^3 f''/12; otherwise the trapezoid."""
+    h = t - c.sample_t
+    h_prev = c.sample_t - c.prev_t
+    out, d2s = [], []
+    for f0, f1, f2 in ((c.prev_sup_ur_over_r, c.sup_ur_over_r, f[0]),
+                       (c.prev_dz_u_l2_sq, c.dz_u_l2_sq, f[1])):
+        d2 = 2.0 * ((f2 - f1) / h - (f1 - f0) / h_prev) / (h + h_prev) if h_prev else 0.0
+        out.append(0.5 * h * (f1 + f2) - h ** 3 * d2 / 12.0)
+        d2s.append(d2)
+    return tuple(out), tuple(d2s)
+
+
+def _max_abs(values: np.ndarray) -> float:
+    """max|values| without a field-sized temporary; NaN if any is NaN."""
+    return float(np.maximum(values.max(), -values.min()))
+
+
+def _sampled(state: SimState, c: Carried, opens: bool, dt: float) -> Carried:
+    """c, carried to state, with state as its last sample: its integrands,
+    max|u| and the running integrals advanced to state.t.  A sample that
+    opens a transport-free segment (t = 0, or a closing state, reached by
+    one trapezoid across the transport jump) is followed by one sub-step,
+    and so is the next, as f'' needs three samples; any other by
+    _interval's, at the step's dt."""
+    f = state.integrands
+    u = state.u
+    if opens:
+        h = state.t - c.sample_t
+        da, db = 0.5 * h * (c.sup_ur_over_r + f[0]), 0.5 * h * (c.dz_u_l2_sq + f[1])
+        n, prev = 1, (state.t, *f)
+    else:
+        (da, db), d2s = _increments(c, state.t, f)
+        n = _interval(dt, d2s, f) if c.prev_t < c.sample_t else 1
+        prev = (c.sample_t, c.sup_ur_over_r, c.dz_u_l2_sq)
+    return replace(c, int_sup_ur_over_r=c.int_sup_ur_over_r + da,
+                   twice_int_dz_u_l2_sq=c.twice_int_dz_u_l2_sq + 2.0 * db,
+                   sample_t=state.t, sup_ur_over_r=f[0], dz_u_l2_sq=f[1],
+                   max_ur=_max_abs(u.u_r.values), max_uz=_max_abs(u.u_z.values),
+                   prev_t=prev[0], prev_sup_ur_over_r=prev[1], prev_dz_u_l2_sq=prev[2],
+                   next_sample=c.step_index + n)
+
+
+def _interval(dt: float, d2s: tuple, f: tuple) -> int:
+    """Sub-steps of dt to the next sample: the largest n <= MACRO_SUBSTEPS
+    with (n dt)^2 |f''| <= 12 TOL |f| for both integrands, at least 1."""
+    h_max = min((math.sqrt(12.0 * TOL * abs(fi) / abs(d2)) for d2, fi in zip(d2s, f) if d2),
+                default=math.inf)
+    return max(1, int(min(MACRO_SUBSTEPS, h_max / dt)))
+
 
 def initial_state(q0: ScalarField, config: SimConfig, kt: KernelTable) -> SimState:
+    """The state at t = 0, its velocity solved: the first sample."""
     g = config.grid
     omega = ScalarField(g, g.r[:, None] * q0.values, "omega_theta")
-    u = velocity_from_vorticity(omega, kt)
-    return SimState(0.0, q0, omega, u)
+    state = SimState(0.0, q0, omega, kt)
+    state.carried = _sampled(state, Carried(), opens=True, dt=0.0)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +421,13 @@ def _horizontal_laplacian(values: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def cfl_dt(state: SimState, config: SimConfig) -> tuple[float, float]:
-    """(sub-step, macro-step) bounds from one scan of u: dt_cfl_factor times
-    the least of the advective CFL bounds and cap, or MACRO_SUBSTEPS * cap,
-    where cap is the lesser of the diffusion accuracy cap DIFFUSION_LAMBDA *
-    dz^2 and the stability bound of the explicit eps_h term."""
+    """(sub-step, macro-step) bounds from the last sample's max|u|:
+    dt_cfl_factor times the least of the advective CFL bounds and cap, or
+    MACRO_SUBSTEPS * cap, where cap is the lesser of the diffusion accuracy
+    cap DIFFUSION_LAMBDA * dz^2 and the stability bound of the explicit
+    eps_h term."""
     # max|u| is NaN or inf exactly when the component is not finite
-    max_ur = np.max(np.abs(state.u.u_r.values))
-    max_uz = np.max(np.abs(state.u.u_z.values))
+    max_ur, max_uz = state.carried.max_ur, state.carried.max_uz
     if not (np.isfinite(max_ur) and np.isfinite(max_uz)):
         raise ValueError("velocity field is not finite")
     g = config.grid
@@ -331,10 +440,10 @@ def cfl_dt(state: SimState, config: SimConfig) -> tuple[float, float]:
     return f * min(cap, adv), f * min(MACRO_SUBSTEPS * cap, adv)
 
 
-def advance_q(q: ScalarField, u: VelocityField, dt: float,
+def advance_q(q: ScalarField, u: VelocityField | None, dt: float,
               eps_h: float, transport: float) -> ScalarField:
-    """One split step: transport by u over `transport` (none if 0), then
-    implicit vertical diffusion (+ eps_h term) over dt."""
+    """One split step: transport by u over `transport` (none if 0, when u
+    is not read), then implicit vertical diffusion (+ eps_h term) over dt."""
     g = q.grid
     vals = _advect(q, u, transport) if transport else q.values
     vals = _diffuse_z(vals, g, dt)
@@ -343,10 +452,10 @@ def advance_q(q: ScalarField, u: VelocityField, dt: float,
     return ScalarField(g, vals, q.role)
 
 
-def advance_omega_direct(omega: ScalarField, u: VelocityField, dt: float,
+def advance_omega_direct(omega: ScalarField, u: VelocityField | None, dt: float,
                          eps_h: float, transport: float) -> ScalarField:
     """Direct omega step: advection and integrating-factor stretching over
-    `transport` (none if 0), then diffusion (+ eps_h term,
+    `transport` (none if 0, when u is not read), then diffusion (+ eps_h term,
     r * Delta_h(omega / r): the q equation's operator) over dt.
 
     The stretching factor exp(transport * u^r/r) uses u frozen at step
@@ -368,13 +477,17 @@ def step(state: SimState, config: SimConfig, kt: KernelTable,
          land_at: float = np.inf) -> SimState:
     """One complete diffusion sub-step.  dt is cfl_dt's sub-step bound capped
     at land_at - state.t (a land_at not after state.t raises); a step ending
-    within _EPS_T of land_at lands on it exactly; both running integrals gain
-    the step's trapezoid.
+    within _EPS_T of land_at lands on it exactly.
 
     The step closes the macro step, advecting over the whole lag including
     its own dt, when it lands or when one more step of its dt would take the
-    lag past cfl_dt's macro-step bound; otherwise its state lags
-    by one more dt.  A landed state has zero lag.
+    lag past cfl_dt's macro-step bound; otherwise its state lags by one more
+    dt.  A landed state has zero lag.
+
+    Only a closing step reads the incoming velocity, which makes the
+    incoming state a sample if it is not one yet; the closing state is a
+    sample too, reached by one trapezoid.  Any other new state is a sample
+    when its step index is carried.next_sample.
     """
     g = config.grid
     dt_sub, dt_macro = cfl_dt(state, config)
@@ -389,21 +502,24 @@ def step(state: SimState, config: SimConfig, kt: KernelTable,
     # _EPS_T of slack keeps rounding in the sum of the sub-steps from cutting
     # a macro step short
     closes = landed or lag + dt > dt_macro + _EPS_T
+    c = state.carried
+    u = None
+    if closes:
+        u = state.u
+        if state.t != c.sample_t:
+            c = _sampled(state, c, opens=False, dt=dt)
     transport = lag if closes else 0.0
     if config.evolve_omega_direct:
-        omega = advance_omega_direct(state.omega, state.u, dt, config.eps_h,
-                                     transport)
+        omega = advance_omega_direct(state.omega, u, dt, config.eps_h, transport)
         q = ScalarField(g, omega.values / g.r[:, None], "q_omega_over_r")
     else:
-        q = advance_q(state.q, state.u, dt, config.eps_h, transport)
+        q = advance_q(state.q, u, dt, config.eps_h, transport)
         omega = ScalarField(g, g.r[:, None] * q.values, "omega_theta")
-    new = SimState(t, q, omega, velocity_from_vorticity(omega, kt))
-    dt = t - state.t
-    (a0, b0), (a1, b1) = state.integrands, new.integrands
-    c = state.carried
-    new.carried = Carried(step_index=c.step_index + 1, lag=0.0 if closes else lag,
-                          int_sup_ur_over_r=c.int_sup_ur_over_r + 0.5 * dt * (a0 + a1),
-                          twice_int_dz_u_l2_sq=c.twice_int_dz_u_l2_sq + dt * (b0 + b1))
+    new = SimState(t, q, omega, kt)
+    c = replace(c, step_index=c.step_index + 1, lag=0.0 if closes else lag)
+    if closes or c.step_index == c.next_sample:
+        c = _sampled(new, c, opens=closes, dt=t - state.t)
+    new.carried = c
     return new
 
 
@@ -438,13 +554,15 @@ def run(config: SimConfig, q0: ScalarField, kt: KernelTable,
     a caller that writes each landed state and drops it holds no more
     fields however many snapshot times there are.
 
-    step() carries the running integrals, so the record of a given step is
-    the same whatever the cadence.  A row between landings may be of a state
-    that lags in transport; every landed state has zero lag.  The loop is
-    fully deterministic for a given config and initial field.  A ValueError
-    or ArithmeticError from a step or a record (such as cfl_dt's non-finite
-    velocity) raises RunFailed naming the step; on_record has then been
-    given every record taken before it.
+    step() carries the running integrals to the last velocity sample and a
+    record adds the rest without carrying it back, so the record of a given
+    step is the same whatever the cadence.  A row between landings may be of
+    a state that lags in transport; every landed state has zero lag.  The
+    loop is fully deterministic for a given config and initial field.  A
+    ValueError or ArithmeticError from a step or a record (such as cfl_dt's
+    non-finite velocity, or a q that is not finite, checked every step)
+    raises RunFailed naming the step; on_record has then been given every
+    record taken before it.
     """
     targets = config.landing_times()
     try:
@@ -459,13 +577,17 @@ def run(config: SimConfig, q0: ScalarField, kt: KernelTable,
             n, t = state.carried.step_index + 1, state.t
             try:
                 state = step(state, config, kt, land_at=target)
+                sup_q.append(float(np.max(np.abs(state.q.values))))
+                # between samples no velocity solve sees q, so this is
+                # what refuses a non-finite one at its own step
+                if not np.isfinite(sup_q[-1]):
+                    raise ValueError("q is not finite")
                 landed = state.t == target
                 record = (diagnostics.compute_record(state, first=records[0])
                           if n % config.cadence == 0 or landed
                           else None)
             except (ValueError, ArithmeticError) as exc:
                 raise RunFailed(n, t, str(exc)) from exc
-            sup_q.append(float(np.max(np.abs(state.q.values))))
             if record is not None:
                 records.append(record)
                 on_record(record, state if landed else None)

@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import diagnostics
-from .biot_savart import KernelTable, velocity_from_vorticity
+from .biot_savart import KernelTable
 from .evolution import Carried, RunFailed, RunResult, SimConfig, SimState, run
 from .grid import (GridSpec, ScalarField, _atomic_write, load_field, load_header,
                    make_grid, save_field)
@@ -271,13 +271,13 @@ def snapshot_paths(run_dir: str, t: float) -> tuple[str, str]:
 
 def load_state(run_dir: str, t: float, kt: KernelTable) -> SimState:
     """The state a run saved at time t: its fields, what step() carried to it
-    from the omega header, and the velocity rebuilt from omega."""
+    from the omega header, and kt, which rebuilds the velocity from omega
+    when it is read."""
     q_path, omega_path = snapshot_paths(run_dir, t)
     q, t_saved = load_field(q_path)
     omega, _ = load_field(omega_path)
     types = {k: type(v) for k, v in asdict(Carried()).items()}
-    return SimState(t_saved, q, omega, velocity_from_vorticity(omega, kt),
-                    Carried(**load_header(omega_path, types)))
+    return SimState(t_saved, q, omega, kt, Carried(**load_header(omega_path, types)))
 
 
 def run_checks(records: list) -> list:

@@ -283,18 +283,53 @@ class TestComputeRecord:
         assert calls == {"lebesgue_norm": 7, "lorentz_norm": 10, "mixed_norm": 1}
 
     def test_trapezoid_running_integral(self, state):
-        # each record reads the state's integrals, which step() advances by
-        # one trapezoid per step
-        res = run(SimConfig(state.q.grid, t_end=0.02, cadence=1), state.q,
-                  KernelTable(32))
-        assert len(res.records) >= 4
-        for a, b in zip(res.records, res.records[1:]):
-            dt = b.t - a.t
-            assert b.int_sup_ur_over_r == a.int_sup_ur_over_r + 0.5 * dt * (
-                a.sup_ur_over_r + b.sup_ur_over_r)
-            assert b.twice_int_dz_u_l2_sq == a.twice_int_dz_u_l2_sq + dt * (
-                a.dz_u_l2_sq + b.dz_u_l2_sq)
-            assert b.energy_lhs == b.kinetic_energy + b.twice_int_dz_u_l2_sq
+        # step() advances the integrals at velocity samples only: one
+        # trapezoid across each transport, and between the samples of a
+        # transport-free segment the trapezoid minus h^3 f''/12, f'' the
+        # second divided difference of the last three samples (the plain
+        # trapezoid while the segment has one).  A record reads the integral
+        # to its state: the carried one at a sample, else that plus the
+        # rule's increment from the last sample, which is carried nowhere.
+        g = state.q.grid
+        cfg, kt = SimConfig(g, t_end=0.25), KernelTable(32)
+        st = initial_state(state.q, cfg, kt)
+
+        def integrands(s):
+            rec = compute_record(s, None)
+            return np.array([rec.sup_ur_over_r, 2.0 * rec.dz_u_l2_sq])
+
+        def rule(seg, t, f):
+            (t1, f1) = seg[-1]
+            h = t - t1
+            out = 0.5 * h * (f1 + f)
+            if len(seg) > 1:
+                t0, f0 = seg[-2]
+                out -= h ** 3 * 2.0 * ((f - f1) / h - (f1 - f0) / (t1 - t0)) / (t - t0) / 12
+            return out
+
+        seg, total = [(0.0, integrands(st))], np.zeros(2)
+        closings = wide = 0
+        while st.t < cfg.t_end:
+            new = step(st, cfg, kt, land_at=cfg.t_end)
+            f, c = integrands(new), new.carried
+            if c.lag == 0.0:        # a closing step: both ends are samples
+                if seg[-1][0] != st.t:
+                    total = total + rule(seg, st.t, integrands(st))
+                total = total + 0.5 * (new.t - st.t) * (integrands(st) + f)
+                expected, seg = total, [(new.t, f)]
+                closings += 1
+            else:
+                expected = total + rule(seg, new.t, f)
+                if c.sample_t == new.t:
+                    wide += new.t - seg[-1][0] > 1.5 * (new.t - st.t)
+                    total = expected
+                    seg.append((new.t, f))
+            rec = compute_record(new, None)
+            assert [rec.int_sup_ur_over_r, rec.twice_int_dz_u_l2_sq] == (
+                pytest.approx(list(expected), rel=1e-12, abs=0.0))
+            assert rec.energy_lhs == rec.kinetic_energy + rec.twice_int_dz_u_l2_sq
+            st = new
+        assert closings >= 3 and wide >= 2
 
 
 def stable_profile(f):
@@ -314,8 +349,7 @@ def reference_record(state, first):
     speed_sq = u.u_r.values ** 2 + u.u_z.values ** 2
     sup_uror, dz_u_sq = state.integrands
     kinetic = cylindrical_integral(ScalarField(g, speed_sq))
-    int_uror = state.carried.int_sup_ur_over_r
-    int_dzu2 = state.carried.twice_int_dz_u_l2_sq
+    int_uror, int_dzu2 = state.integrals
     q_re, omega_re, dz_omega_re, dz_q_re, dr_omega_re = (
         stable_profile(f) for f in (q, omega, dz_omega, dz_q, dr_omega))
     rec = dict(

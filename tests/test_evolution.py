@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,15 +48,22 @@ class TestCflDt:
             (0.5 * g.dz ** 2, 0.5 * MACRO_SUBSTEPS * g.dz ** 2))
 
     def test_advective_bound_dominates(self, small):
+        # cfl_dt reads the last sample's max|u|, not the state's velocity,
+        # which is zero here
         g, kt = small
         cfg = SimConfig(g)
         st = initial_state(zero_field(g, "q_omega_over_r"), cfg, kt)
-        big = VelocityField(
-            ScalarField(g, np.full((g.n_r, g.n_z), 100.0), "u_r"),
-            zero_field(g, "u_z"))
-        st = SimState(0.0, st.q, st.omega, big)
+        st.carried = replace(st.carried, max_ur=100.0)
         # both bounds: MACRO_SUBSTEPS diffusion caps exceed dr / 100
         assert cfl_dt(st, cfg) == pytest.approx((0.9 * g.dr / 100.0,) * 2)
+        np.testing.assert_array_equal(st.u.u_r.values, 0.0)
+
+    def test_sample_holds_max_velocity(self, small):
+        g, kt = small
+        st = initial_state(gaussian_q0(g), SimConfig(g), kt)
+        c = st.carried
+        assert c.max_ur == np.max(np.abs(st.u.u_r.values)) > 0.0
+        assert c.max_uz == np.max(np.abs(st.u.u_z.values)) > 0.0
 
     def test_eps_h_bound(self, small):
         g, kt = small
@@ -66,16 +74,14 @@ class TestCflDt:
             (0.9 * cap, 0.9 * MACRO_SUBSTEPS * cap))
 
     def test_nonfinite_velocity_rejected(self, small):
+        # a non-finite max|u| of the last sample is refused
         g, kt = small
         cfg = SimConfig(g)
         st = initial_state(zero_field(g, "q_omega_over_r"), cfg, kt)
-        bad = np.zeros((g.n_r, g.n_z))
-        bad[0, 0] = np.nan
-        st = SimState(0.0, st.q, st.omega,
-                      VelocityField(ScalarField(g, bad, "u_r"),
-                                    zero_field(g, "u_z")))
-        with pytest.raises(ValueError):
-            cfl_dt(st, cfg)
+        for bad in ({"max_ur": np.nan}, {"max_uz": np.inf}):
+            st.carried = replace(st.carried, **{"max_ur": 0.0, "max_uz": 0.0, **bad})
+            with pytest.raises(ValueError, match="velocity field is not finite"):
+                cfl_dt(st, cfg)
 
 
 def naive_sample(fields, r_pts, z_pts, clamp):
@@ -460,6 +466,60 @@ class TestMultirate:
         assert sorted(snapshots) == [0.0, 0.002, 0.02, 0.03]
         for t, st in snapshots.items():
             assert st.t == t and st.carried.lag == 0.0
+
+
+def count_solves(monkeypatch) -> list:
+    """Patch evolution's velocity solve to count its calls in the list."""
+    calls = []
+
+    def counted(omega, kt):
+        calls.append(None)
+        return velocity_from_vorticity(omega, kt)
+
+    monkeypatch.setattr(evolution, "velocity_from_vorticity", counted)
+    return calls
+
+
+class TestVelocitySamples:
+    """The velocity is solved only at samples and where a record reads it."""
+
+    def test_step_path_solves_at_most_40_percent(self, monkeypatch):
+        # 96x192 ring to t = 0.1, records only at 0 and t_end so that the
+        # count is the step path's: 92 solves in 256 sub-steps (a cadence
+        # of 10 adds 14 solves of records between samples)
+        cfg = ExperimentConfig(t_end=0.1, cadence=1000)
+        q0 = build_initial(cfg.initial, cfg.grid())
+        calls = count_solves(monkeypatch)
+        res = run(cfg.sim_config(), q0, KernelTable())
+        n = res.final_state.carried.step_index
+        assert n == 256 and len(calls) <= 0.4 * n
+
+    def test_cadence_1_solves_every_substep(self, small, monkeypatch):
+        g, kt = small
+        calls = count_solves(monkeypatch)
+        res = run(SimConfig(g, t_end=0.2, cadence=1), gaussian_q0(g), kt)
+        assert len(calls) == res.final_state.carried.step_index + 1 == len(res.records)
+
+    def test_integrals_match_every_substep_rule(self, monkeypatch):
+        # 48x96 ring to t = 0.2: both integral columns within 1e-4 of the
+        # same rule with a sample at every sub-step (TOL = 0 forces n = 1);
+        # no other column moves
+        cfg = ExperimentConfig(n_r=48, n_z=96, t_end=0.2, cadence=5)
+        q0 = build_initial(cfg.initial, cfg.grid())
+        kt = KernelTable()
+        calls = count_solves(monkeypatch)
+        sampled = run(cfg.sim_config(), q0, kt).records
+        n_sampled = len(calls)
+        monkeypatch.setattr(evolution, "TOL", 0.0)
+        every = run(cfg.sim_config(), q0, kt).records
+        assert len(calls) - n_sampled == 129 > n_sampled
+        assert len(sampled) == len(every) == 27
+        integrals = ("int_sup_ur_over_r", "twice_int_dz_u_l2_sq")
+        for a, b in zip(sampled[1:], every[1:]):
+            for name in integrals:
+                assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-4)
+            assert a.step_index == b.step_index and a.sup_q == b.sup_q
+            assert a.q_l2 == b.q_l2 and a.kinetic_energy == b.kinetic_energy
 
 
 class TestRun:

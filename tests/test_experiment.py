@@ -706,7 +706,7 @@ class TestCli:
 
         def velocity_failing_at_step_3(omega, kt):
             calls.append(None)
-            if len(calls) == 4:     # one solve for the initial state, then one per step
+            if len(calls) == 4:     # the initial state, then steps 1-3: at 20x40 all are samples
                 raise ValueError("velocity field is not finite")
             return velocity_from_vorticity(omega, kt)
 
@@ -731,6 +731,58 @@ class TestCli:
             assert parse_config(fh.read()) == parse_config(cfg_file.read_text())
         assert sorted(n for n in os.listdir(out) if n.endswith(".bin")) == [
             "omega_t0.000000.bin", "q_t0.000000.bin"]
+
+    def test_nonfinite_q_between_samples_fails_at_its_step(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # a NaN that diffusion plants in a step whose state is neither a
+        # velocity sample nor recorded meets no velocity solve; run's sup|q|
+        # refuses it at that step.  32x64, as at 20x40 every sub-step to
+        # t = 0.2 is a sample
+        good, out = str(tmp_path / "good"), str(tmp_path / "out")
+        extra = "n_r = 32\nn_z = 64\ncadence = 3\n"
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text(tiny_config_text(good, t_end=0.2, extra=extra))
+        assert cli.main(["run", "--config", str(cfg_file)]) == 0
+        with open(os.path.join(good, "diagnostics.csv")) as fh:
+            good_lines = fh.read().splitlines(keepends=True)
+        capsys.readouterr()
+
+        sim = parse_config(cfg_file.read_text()).sim_config()
+        kt = KernelTable(16)
+        q0 = build_initial(InitialData(), sim.grid)
+        st = evolution.initial_state(q0, sim, kt)
+        while st.carried.sample_t == st.t or st.carried.step_index % 3 == 0:
+            st = evolution.step(st, sim, kt, land_at=sim.t_end)
+        k = st.carried.step_index
+        assert 3 < k and st.t < sim.t_end
+
+        calls, diffuse = [], evolution._diffuse_z
+
+        def diffuse_planting_nan(values, grid, dt):
+            calls.append(None)
+            new = diffuse(values, grid, dt)
+            if len(calls) == k:      # one diffusion per step
+                new[3, 5] = np.nan
+            return new
+
+        monkeypatch.setattr(evolution, "_diffuse_z", diffuse_planting_nan)
+        with pytest.raises(evolution.RunFailed, match=f"^step {k} from t = "):
+            evolution.run(sim, q0, kt)
+        calls.clear()
+        cfg_file.write_text(tiny_config_text(out, t_end=0.2, extra=extra))
+        assert cli.main(["run", "--config", str(cfg_file)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: run failed at step {k} from t = ")
+
+        # the header and every row before step k, as the good run wrote them
+        with open(os.path.join(out, "diagnostics.csv")) as fh:
+            text = fh.read()
+        before = [ln for ln in good_lines[1:] if int(ln.split(",")[1]) < k]
+        assert text == good_lines[0] + "".join(before) and len(before) == k // 3 + 1
+        with open(os.path.join(out, "summary.txt")) as fh:
+            summary = fh.read()
+        assert summary.count("\n") == 1
+        assert summary.startswith(f"run: FAIL at step {k} from t = ")
+        assert summary.endswith(": q is not finite\n")
 
     def test_rerun_removes_stale_summary_first(self, tmp_path, capsys, monkeypatch):
         # a summary.txt is written last, so a run that dies leaves none
